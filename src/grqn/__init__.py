@@ -12,6 +12,7 @@ from .formulas import (
 from .homology import (
     GradedMap,
     HomologyProfile,
+    cofiber_homology,
     connecting_rank,
     ideal_inclusion_induced_zero,
     ideal_subcomplex,
@@ -37,8 +38,7 @@ from .young import (
     classify_strip,
     content,
     corners,
-    covers_at_distance,
-    lenart_coefficient,
+    lenart_strips,
     partitions_in_grid,
     skew,
 )

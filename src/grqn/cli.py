@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .formulas import InvalidCell, predicted_cofiber_k, predicted_delta_rank, predicted_k
-from .homology import GridTooSmall, ideal_subcomplex, qn_homology, twisted_complex
+from .homology import GridTooSmall, cofiber_homology, qn_homology, twisted_complex
 from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
 
 CELL_LIMIT_ENV = "GRQN_CELL_LIMIT"
@@ -34,6 +34,10 @@ METHOD_DERIVATION = "Derivation"
 METHOD_BOTH = "Both"
 
 CSV_HEADER = "d,c,value,status,method"
+
+
+class UsageError(ValueError):
+    """A command-line argument or setting the commands cannot act on."""
 
 
 class CellTooLarge(RuntimeError):
@@ -94,7 +98,11 @@ class ResultRecord:
 
 def cell_limit() -> int:
     raw = os.environ.get(CELL_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_CELL_LIMIT
+    if not raw:
+        return DEFAULT_CELL_LIMIT
+    if not raw.strip().isdigit():
+        raise UsageError(f"{CELL_LIMIT_ENV} must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def default_method(n: int, d: int, m: int) -> str:
@@ -202,20 +210,11 @@ def cofiber_report(n: int, d: int, m: int, limit: int | None = None) -> dict:
     """Reduced cofiber homology, connecting rank, predictions, twist check."""
     if n < 0 or d < 1 or d > m:
         raise InvalidCell(f"invalid cell n={n} d={d} m={m}")
-    if m - d < 1:
-        raise GridTooSmall(f"cofiber needs m - d >= 1, got d={d} m={m}")
     size = comb(m, d)
     cap = cell_limit() if limit is None else limit
     if size > cap:
         raise CellTooLarge(f"basis size {size} exceeds limit {cap}")
-    grid = Grid(d, m - d)
-    full = qn_homology(lenart_qn_matrix(n, grid))
-    sub, quot = ideal_subcomplex(n, grid)
-    sub_profile = qn_homology(sub)
-    quot_profile = qn_homology(quot)
-    excess = sub_profile.total + quot_profile.total - full.total
-    if excess < 0 or excess % 2:
-        raise RuntimeError(f"exactness defect {excess} at n={n} d={d} m={m}")
+    sub_profile, delta = cofiber_homology(n, d, m)
     twisted = qn_homology(twisted_complex(n, d, m))
     return {
         "n": n,
@@ -224,7 +223,7 @@ def cofiber_report(n: int, d: int, m: int, limit: int | None = None) -> dict:
         "cofiber_total": sub_profile.total,
         "per_degree": [[t, v] for t, v in sorted(sub_profile.per_degree.items())],
         "predicted_cofiber": predicted_cofiber_k(n, d, m),
-        "connecting_rank": excess // 2,
+        "connecting_rank": delta,
         "predicted_delta_rank": predicted_delta_rank(n, d, m),
         "twisted_match": twisted.shifted(m - d) == sub_profile,
     }
@@ -265,7 +264,16 @@ def verify_sweep(
     cache_path: str = "grqn_cache.jsonl",
     limit: int | None = None,
 ) -> dict:
-    """Evaluate every cell in range, skipping cache hits; append new records."""
+    """Evaluate every cell in range, skipping cache hits; append new records.
+
+    Runs at most one worker per CPU.
+    """
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    for name, values in (("n", n_range), ("d", d_range), ("c", c_range)):
+        if not values:
+            raise UsageError(f"empty {name} range {values.start}..{values.stop - 1}")
+    workers = min(jobs, os.cpu_count() or 1)
     cap = cell_limit() if limit is None else limit
     cache = load_cache(cache_path)
     counts = {STATUS_PROVEN: 0, STATUS_CONJECTURE: 0, STATUS_MISMATCH: 0, "Skipped": 0}
@@ -282,8 +290,8 @@ def verify_sweep(
                 else:
                     todo.append((n, d, m, cap))
 
-    if jobs > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1 and len(todo) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, todo))
     else:
         results = [_sweep_cell(cell) for cell in todo]
@@ -353,6 +361,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (UsageError, InvalidCell, GridTooSmall, CellTooLarge) as exc:
+        print(f"grqn: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     out = sys.stdout
     if args.command == "compute":
         rec = compute_cell(args.n, args.d, args.m, basis=args.basis)

@@ -218,6 +218,12 @@ def _ideal_selection(d: int, c: int) -> tuple[dict[int, list[int]], dict[int, li
     return sub, quot
 
 
+def _split_ideal(full: GradedMap, grid: "Grid") -> tuple[GradedMap, GradedMap]:
+    """Restrict the whole complex to the top-column ideal and to its quotient."""
+    sel_sub, sel_quot = _ideal_selection(grid.d, grid.c)
+    return full.restrict(sel_sub), full.restrict(sel_quot)
+
+
 def ideal_subcomplex(n: int, grid: "Grid") -> tuple[GradedMap, GradedMap]:
     """Split the Grassmannian complex along the kernel of the restriction map.
 
@@ -230,9 +236,7 @@ def ideal_subcomplex(n: int, grid: "Grid") -> tuple[GradedMap, GradedMap]:
 
     if grid.c < 1:
         raise GridTooSmall(f"cofiber needs codimension >= 1, got {grid}")
-    full = lenart_qn_matrix(n, grid)
-    sel_sub, sel_quot = _ideal_selection(grid.d, grid.c)
-    return full.restrict(sel_sub), full.restrict(sel_quot)
+    return _split_ideal(lenart_qn_matrix(n, grid), grid)
 
 
 def twisted_complex(n: int, d: int, m: int) -> GradedMap:
@@ -259,26 +263,31 @@ def twisted_complex(n: int, d: int, m: int) -> GradedMap:
     return free_operator_matrix(Grid(dd, m - d), shift, image)
 
 
-def connecting_rank(n: int, d: int, m: int) -> int:
-    """Rank of the connecting map in the cofiber long exact sequence.
+def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:
+    """Reduced cofiber homology and the rank of the connecting map.
 
-    Recovered from exactness: twice the rank is the homology excess of the
-    two pieces over the whole.
+    Builds the whole complex once and restricts it to the ideal and the
+    quotient.  The rank is recovered from exactness: twice the rank is the
+    homology excess of the two pieces over the whole.
     """
     from .schubert import Grid, lenart_qn_matrix
 
     c = m - d
     if c < 1:
         raise GridTooSmall(f"cofiber needs m - d >= 1, got d={d} m={m}")
-    full = lenart_qn_matrix(n, Grid(d, c))
-    sel_sub, sel_quot = _ideal_selection(d, c)
-    k_total = qn_homology(full).total
-    k_sub = qn_homology(full.restrict(sel_sub)).total
-    k_quot = qn_homology(full.restrict(sel_quot)).total
-    excess = k_sub + k_quot - k_total
+    grid = Grid(d, c)
+    full = lenart_qn_matrix(n, grid)
+    sub, quot = _split_ideal(full, grid)
+    sub_profile = qn_homology(sub)
+    excess = sub_profile.total + qn_homology(quot).total - qn_homology(full).total
     if excess < 0 or excess % 2:
         raise ParityViolation(f"exactness defect {excess} at n={n} d={d} m={m}")
-    return excess // 2
+    return sub_profile, excess // 2
+
+
+def connecting_rank(n: int, d: int, m: int) -> int:
+    """Rank of the connecting map in the cofiber long exact sequence."""
+    return cofiber_homology(n, d, m)[1]
 
 
 def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:

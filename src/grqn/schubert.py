@@ -20,7 +20,7 @@ from typing import Callable
 from . import steenrod
 from .homology import GradedMap
 from .steenrod import AmbientMismatch, Monomial, Polynomial
-from .young import Partition, covers_at_distance, lenart_coefficient, partitions_in_grid
+from .young import Partition, lenart_strips, partitions_in_grid
 
 
 class IndexOutOfRange(ValueError):
@@ -243,19 +243,16 @@ def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:
     if n < 0:
         raise ValueError(f"primitive index must be nonnegative, got {n}")
     shift = 2 ** (n + 1) - 1
+    d, c = grid.d, grid.c
     ctx = _context(grid)
     spaces = {t: len(lams) for t, lams in ctx.basis.items()}
     blocks: dict[int, tuple[int, ...]] = {}
     for t in range(grid.top_degree - shift + 1):
         target = ctx.index[t + shift]
-        cols = []
-        for lam in ctx.basis[t]:
-            mask = 0
-            for mu in covers_at_distance(lam, shift, grid.d, grid.c):
-                if lenart_coefficient(lam, mu):
-                    mask |= 1 << target[mu]
-            cols.append(mask)
-        blocks[t] = tuple(cols)
+        blocks[t] = tuple(
+            sum(1 << target[mu] for mu in lenart_strips(lam, shift, d, c))
+            for lam in ctx.basis[t]
+        )
     return GradedMap(shift, spaces, blocks)
 
 

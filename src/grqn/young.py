@@ -39,10 +39,6 @@ def weight(p: Partition) -> int:
     return sum(p)
 
 
-def fits_in_grid(p: Partition, d: int, c: int) -> bool:
-    return len(p) <= d and (not p or p[0] <= c)
-
-
 def contains(outer: Partition, inner: Partition) -> bool:
     if len(inner) > len(outer):
         return False
@@ -94,13 +90,65 @@ def partitions_in_grid(d: int, c: int) -> list[Partition]:
     return out
 
 
-def covers_at_distance(lam: Partition, k: int, d: int, c: int) -> list[Partition]:
-    """Grid partitions mu containing lam with |mu| - |lam| = k."""
-    if k <= 0:
-        raise ValueError(f"distance must be positive, got {k}")
-    if not fits_in_grid(lam, d, c):
-        raise ValueError(f"{lam} does not fit in a {d}x{c} grid")
-    return _extensions(lam, k, d, c)
+def lenart_strips(lam: Partition, k: int, d: int, c: int) -> list[Partition]:
+    """Grid partitions mu with k more boxes than lam and odd strip coefficient.
+
+    The mod-2 border-strip coefficient of s_mu in the image of s_lam is zero
+    unless mu/lam is a broken border strip with one or two ribbons (edge-
+    connected components); it is one for two ribbons, and for one ribbon the
+    parity of the contents of its sharp and dull corners.  So the walk places
+    whole ribbons, top to bottom, and emits nothing else.
+
+    With rows numbered from 0 and lam padded to d rows: a ribbon on rows
+    a..b has mu_i = lam_{i-1} + 1 on each row below a (one more box would
+    make a 2x2 block, one fewer would break it), so its size s fixes its top
+    row at mu_a = s + lam_b - (b - a).  That top must exceed lam_a and stay
+    at most lam_{a-1} (c on row 0): further right it would touch or overhang
+    the row above.  Only rows where lam has an addable box can start one.
+    Below row a each pair of consecutive rows adds corner contents of
+    parity lam_{i-1} + lam_i, which telescopes, so a single ribbon's
+    coefficient is lam_b + a mod 2.  ``lam`` must fit the d x c grid; each
+    mu is listed once, in no particular order.
+    """
+    base = lam + (0,) * (d - len(lam))
+    step = tuple(p + 1 for p in base)
+    starts: list[tuple[int, int, int]] = []
+    # room[j]: the largest ribbon that can start on row j or below
+    room = [0] * (d + 1)
+    for a in range(d - 1, -1, -1):
+        cap = base[a - 1] if a else c
+        room[a] = room[a + 1]
+        if cap > base[a]:
+            starts.append((a, base[a], cap))
+            room[a] = max(room[a], cap - base[-1] + d - 1 - a)
+    starts.reverse()
+    out: list[Partition] = []
+    for i, (a1, lo1, cap1) in enumerate(starts):
+        if cap1 - base[-1] + d - 1 - a1 + room[a1 + 1] < k:
+            continue  # the rows from a1 down cannot hold k boxes
+        head = base[:a1]
+        for b1 in range(a1, d):
+            off1 = base[b1] - b1 + a1
+            if lo1 - off1 >= k:
+                break
+            top = k + off1
+            if top <= cap1 and (base[b1] + a1) & 1:
+                out.append(head + (top,) + step[a1:b1] + lam[b1 + 1 :])
+            # second ribbon below: its size k - s1 must fit in room[b1 + 1]
+            for top1 in range(max(lo1 + 1, top - room[b1 + 1]), min(cap1, top - 1) + 1):
+                rem = top - top1
+                first = head + (top1,) + step[a1:b1]
+                for a2, lo2, cap2 in starts[i + 1 :]:
+                    if a2 <= b1:
+                        continue
+                    mid = first + base[b1 + 1 : a2]
+                    for b2 in range(a2, d):
+                        top2 = rem + base[b2] - b2 + a2
+                        if top2 <= lo2:
+                            break
+                        if top2 <= cap2:
+                            out.append(mid + (top2,) + step[a2:b2] + lam[b2 + 1 :])
+    return out
 
 
 @dataclass(frozen=True)
@@ -196,43 +244,3 @@ def corners(s: SkewShape) -> list[tuple[Cell, str]]:
             found.append(((i, above[1] + 1), DULL))
     found.sort()
     return found
-
-
-def lenart_coefficient(lam: Partition, mu: Partition) -> int:
-    """Mod-2 border-strip coefficient of s_mu in the image of s_lam.
-
-    Zero unless mu/lam is a broken border strip with at most two components;
-    one for two components; for a single component, the parity of the total
-    content of the sharp and dull corners.
-    """
-    if not contains(mu, lam):
-        raise NotContained(f"{lam} is not contained in {mu}")
-    spans = []
-    for i, hi in enumerate(mu, start=1):
-        lo = lam[i - 1] if i <= len(lam) else 0
-        if hi > lo:
-            spans.append((i, lo, hi))
-    if not spans:
-        return 0
-    comps = 1
-    for (i1, lo1, _hi1), (i2, _lo2, hi2) in zip(spans, spans[1:]):
-        if i2 != i1 + 1:
-            comps += 1
-            continue
-        overlap = hi2 - lo1
-        if overlap >= 2:
-            return 0
-        if overlap <= 0:
-            comps += 1
-    if comps > 2:
-        return 0
-    if comps == 2:
-        return 1
-    total = 0
-    for idx, (i, lo, hi) in enumerate(spans):
-        above = spans[idx - 1] if idx and spans[idx - 1][0] == i - 1 else None
-        if above is None or above[1] != lo:
-            total += lo + 1 - i
-        if above is not None and above[1] >= lo + 1 and above[1] + 1 <= hi:
-            total += above[1] + 1 - i
-    return total & 1

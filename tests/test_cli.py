@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from grqn import cli
 from grqn.cli import (
     CacheCorrupt,
     CellTooLarge,
@@ -240,3 +241,67 @@ def test_main_cofiber(capsys):
     assert rep["cofiber_total"] == 5
     assert rep["predicted_cofiber"] == 5
     assert rep["twisted_match"] is True
+
+
+def assert_clean_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code != 0
+    assert captured.out == ""
+    assert captured.err.startswith("grqn: error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_main_compute_invalid_cell_is_an_error(capsys):
+    assert_clean_error(capsys, main(["compute", "--n", "1", "--d", "5", "--m", "3"]))
+
+
+def test_main_cofiber_without_codimension_is_an_error(capsys):
+    assert_clean_error(capsys, main(["cofiber", "--n", "1", "--d", "3", "--m", "3"]))
+
+
+def test_main_bad_cell_limit_is_an_error(monkeypatch, capsys):
+    monkeypatch.setenv("GRQN_CELL_LIMIT", "abc")
+    assert_clean_error(capsys, main(["compute", "--n", "1", "--d", "2", "--m", "4"]))
+
+
+def test_main_verify_empty_range_is_an_error(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    code = main(["verify", "--n", "1", "--d", "3..1", "--c", "1..2", "--cache", str(cache)])
+    assert_clean_error(capsys, code)
+    assert not cache.exists()
+
+
+def test_main_verify_zero_jobs_is_an_error(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    argv = ["verify", "--n", "1", "--d", "1..2", "--c", "1..2", "--jobs", "0"]
+    assert_clean_error(capsys, main([*argv, "--cache", str(cache)]))
+    assert not cache.exists()
+
+
+class RecordingPool:
+    """Stands in for the process pool: records its size, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.sizes.clear()
+    summary = verify_sweep(
+        range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl")
+    )
+    assert RecordingPool.sizes == [3]
+    assert summary["proven"] == 4

@@ -214,6 +214,12 @@ def test_lenart_matrix_zero_in_collapse_range():
     assert lenart_qn_matrix(1, Grid(2, 2)).is_zero()
 
 
+def test_lenart_matrix_large_collapse_cell_is_zero():
+    # 12 870 columns and no odd strip: a build that visits every partition
+    # above each column instead of the odd strips alone takes tens of seconds.
+    assert lenart_qn_matrix(3, Grid(8, 8)).is_zero()
+
+
 def test_lenart_matrix_projective_plane():
     gm = lenart_qn_matrix(0, Grid(1, 2))
     assert gm.block(1) == (1,)  # s_(1) -> s_(2)

@@ -4,6 +4,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grqn.young import (
     DULL,
@@ -15,11 +17,11 @@ from grqn.young import (
     classify_strip,
     content,
     corners,
-    covers_at_distance,
-    lenart_coefficient,
+    lenart_strips,
     partitions_in_grid,
     skew,
 )
+from oracles import covers_at_distance, filtered_strips, lenart_coefficient
 
 
 def brute_classify(cells):
@@ -252,3 +254,33 @@ def test_skewshape_cell_count_invariant():
     for _ in range(200):
         s = random_skew(rng)
         assert len(s.cells) == sum(s.outer) - sum(s.inner)
+
+
+def assert_strips_match_oracle(lam, k, d, c):
+    got = lenart_strips(lam, k, d, c)
+    assert len(got) == len(set(got)), (lam, k, d, c)
+    assert sorted(got) == sorted(filtered_strips(lam, k, d, c)), (lam, k, d, c)
+
+
+def test_lenart_strips_match_the_filtered_candidates_exhaustively():
+    for d in range(7):
+        for c in range(7):
+            lams = partitions_in_grid(d, c)
+            for n in range(4):
+                for lam in lams:
+                    assert_strips_match_oracle(lam, 2 ** (n + 1) - 1, d, c)
+
+
+@st.composite
+def grid_partition(draw):
+    d = draw(st.integers(0, 9))
+    c = draw(st.integers(0, 9))
+    parts = sorted(draw(st.lists(st.integers(1, c), max_size=d)) if c else [], reverse=True)
+    return tuple(parts), d, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_partition(), st.integers(0, 3))
+def test_lenart_strips_property_against_oracle(case, n):
+    lam, d, c = case
+    assert_strips_match_oracle(lam, 2 ** (n + 1) - 1, d, c)
