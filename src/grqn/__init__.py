@@ -1,5 +1,11 @@
 """Exact Q_n-homology of real Grassmannians and their inclusion cofibers over F_2."""
 
+from .cofiber import (
+    cofiber_homology,
+    ideal_inclusion_induced_zero,
+    ideal_subcomplex,
+    twisted_complex,
+)
 from .formulas import (
     binom_parity,
     fixed_point_count,
@@ -9,38 +15,9 @@ from .formulas import (
     predicted_k,
     projective_k,
 )
-from .homology import (
-    GradedMap,
-    HomologyProfile,
-    cofiber_homology,
-    connecting_rank,
-    ideal_inclusion_induced_zero,
-    ideal_subcomplex,
-    qn_homology,
-    rank,
-    twisted_complex,
-)
-from .schubert import (
-    Grid,
-    SchubertVector,
-    derivation_qn_matrix,
-    lenart_qn_matrix,
-    monomial_to_schubert,
-    pieri_multiply,
-    polynomial_to_schubert,
-    schubert_basis,
-)
+from .homology import GradedMap, HomologyProfile, qn_homology
+from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
 from .steenrod import Polynomial, dual_class, milnor_q, multiply, s_class, sq
-from .young import (
-    Partition,
-    SkewShape,
-    StripClass,
-    classify_strip,
-    content,
-    corners,
-    lenart_strips,
-    partitions_in_grid,
-    skew,
-)
+from .young import Partition, lenart_strips, partitions_in_grid
 
 __version__ = "0.1.0"

@@ -13,11 +13,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from math import comb
 
+from .cofiber import GridTooSmall, cofiber_homology, twisted_complex
 from .formulas import InvalidCell, predicted_cofiber_k, predicted_delta_rank, predicted_k
-from .homology import GridTooSmall, cofiber_homology, qn_homology, twisted_complex
+from .homology import qn_homology
 from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
 
 CELL_LIMIT_ENV = "GRQN_CELL_LIMIT"
@@ -229,21 +231,52 @@ def cofiber_report(n: int, d: int, m: int, limit: int | None = None) -> dict:
     }
 
 
+_UNREADABLE = (ValueError, KeyError, TypeError)
+
+
 def load_cache(path: str) -> dict[tuple[int, int, int, str], ResultRecord]:
+    """Records by key; an unreadable last line with no line break is skipped.
+
+    Such a line is a write that was cut off; any other unreadable line
+    raises ``CacheCorrupt``.
+    """
     records: dict[tuple[int, int, int, str], ResultRecord] = {}
     if not os.path.exists(path):
         return records
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 rec = ResultRecord.from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
+            except _UNREADABLE as exc:
+                if not raw.endswith("\n"):
+                    break
                 raise CacheCorrupt(f"cache line {lineno} is unreadable: {exc}") from exc
             records[(rec.n, rec.d, rec.m, rec.method)] = rec
     return records
+
+
+def _end_on_line_break(path: str) -> None:
+    """Make the next appended record start on a line of its own.
+
+    A last line with no line break is cut off if it does not parse, as
+    ``load_cache`` skipped it, and closed with a line break if it does.
+    """
+    if not os.path.exists(path):
+        return
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        if not data or data.endswith(b"\n"):
+            return
+        start = data.rfind(b"\n") + 1
+        try:
+            ResultRecord.from_dict(json.loads(data[start:]))
+        except _UNREADABLE:
+            handle.truncate(start)
+        else:
+            handle.write(b"\n")
 
 
 def _sweep_cell(args: tuple[int, int, int, int]) -> tuple[str, ResultRecord | str | None]:
@@ -266,7 +299,9 @@ def verify_sweep(
 ) -> dict:
     """Evaluate every cell in range, skipping cache hits; append new records.
 
-    Runs at most one worker per CPU.
+    Runs at most one worker per CPU.  Each record is written and flushed as
+    soon as its cell is done, in cell order, so an interrupted sweep keeps
+    the cells finished before the interruption.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
@@ -290,13 +325,13 @@ def verify_sweep(
                 else:
                     todo.append((n, d, m, cap))
 
-    if workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, todo))
-    else:
-        results = [_sweep_cell(cell) for cell in todo]
-
-    with open(cache_path, "a", encoding="utf-8") as handle:
+    _end_on_line_break(cache_path)
+    with open(cache_path, "a", encoding="utf-8") as handle, ExitStack() as stack:
+        if workers > 1 and len(todo) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(_sweep_cell, todo)
+        else:
+            results = map(_sweep_cell, todo)
         for tag, payload in results:
             if tag == "too_large":
                 counts["Skipped"] += 1
@@ -306,6 +341,7 @@ def verify_sweep(
                 rec = payload
                 counts[rec.status] += 1
                 handle.write(rec.to_json() + "\n")
+                handle.flush()
     return {
         "proven": counts[STATUS_PROVEN],
         "conjecture_match": counts[STATUS_CONJECTURE],

@@ -1,0 +1,124 @@
+"""The inclusion cofiber of Gr_d(R^(m-1)) -> Gr_d(R^m) and its connecting map.
+
+The Schubert classes with a full first row span a differential ideal of the
+Grassmannian complex; it computes the reduced cofiber homology, and its
+quotient is the complex of the one-step-smaller Grassmannian.  This module
+sits above ``homology``, ``schubert`` and ``steenrod``.  It calls their
+matrix constructions and ``qn_homology`` through the module objects, so a
+wrapper installed on a module attribute sees every call.
+"""
+
+from __future__ import annotations
+
+from . import homology, schubert, steenrod
+from .homology import GradedMap, HomologyProfile, _echelon, _in_span, _kernel_basis
+from .schubert import Grid
+
+
+class GridTooSmall(ValueError):
+    """Raised when a cofiber construction needs codimension at least 1."""
+
+
+class ParityViolation(RuntimeError):
+    """Exactness bookkeeping produced an odd defect; indicates a bug."""
+
+
+def _ideal_selection(d: int, c: int) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Per-degree positions of the top-column ideal basis and its complement."""
+    basis = schubert.schubert_basis(Grid(d, c))
+    sub: dict[int, list[int]] = {}
+    quot: dict[int, list[int]] = {}
+    for t, lams in basis.items():
+        sub[t] = [i for i, lam in enumerate(lams) if lam and lam[0] == c]
+        quot[t] = [i for i, lam in enumerate(lams) if not lam or lam[0] < c]
+    return sub, quot
+
+
+def _split_ideal(full: GradedMap, grid: Grid) -> tuple[GradedMap, GradedMap]:
+    """Restrict the whole complex to the top-column ideal and to its quotient."""
+    sel_sub, sel_quot = _ideal_selection(grid.d, grid.c)
+    return full.restrict(sel_sub), full.restrict(sel_quot)
+
+
+def _full_complex(n: int, d: int, m: int) -> GradedMap:
+    """The Grassmannian complex of a cofiber cell, which needs m - d >= 1."""
+    if m - d < 1:
+        raise GridTooSmall(f"cofiber needs m - d >= 1, got d={d} m={m}")
+    return schubert.lenart_qn_matrix(n, Grid(d, m - d))
+
+
+def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
+    """Split the Grassmannian complex along the kernel of the restriction map.
+
+    The span of Schubert classes with a full first row is a differential
+    ideal computing the reduced cohomology of the inclusion cofiber; the
+    complementary span carries the complex of the one-step-smaller
+    Grassmannian.
+    """
+    if grid.c < 1:
+        raise GridTooSmall(f"cofiber needs codimension >= 1, got {grid}")
+    return _split_ideal(schubert.lenart_qn_matrix(n, grid), grid)
+
+
+def twisted_complex(n: int, d: int, m: int) -> GradedMap:
+    """The cofiber complex modeled on the smaller Grassmannian's cohomology.
+
+    On x in H^*(Gr_{d-1}(R^{m-1})) the differential is Q_n(x) + x * a where
+    a is the degree-(2^(n+1)-1) additive characteristic class of the
+    canonical (d-1)-plane bundle.
+    """
+    if d < 1 or m < d + 1:
+        raise GridTooSmall(f"twisted complex needs d >= 1 and m > d, got d={d} m={m}")
+    shift = 2 ** (n + 1) - 1
+    dd = d - 1
+    alpha = steenrod.s_class(shift, dd) if dd >= 1 else steenrod.zero(0)
+
+    def image(r: tuple[int, ...]) -> steenrod.Polynomial:
+        poly = steenrod.milnor_q(n, steenrod.Polynomial(dd, frozenset({r})))
+        twist = frozenset(tuple(x + y for x, y in zip(r, u)) for u in alpha.terms)
+        return steenrod.Polynomial(dd, poly.terms ^ twist)
+
+    return schubert.free_operator_matrix(Grid(dd, m - d), shift, image)
+
+
+def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:
+    """Reduced cofiber homology and the rank of the connecting map.
+
+    Builds the whole complex once and restricts it to the ideal and the
+    quotient.  The rank is recovered from exactness: twice the rank is the
+    homology excess of the two pieces over the whole.
+    """
+    full = _full_complex(n, d, m)
+    sub, quot = _split_ideal(full, Grid(d, m - d))
+    sub_profile = homology.qn_homology(sub)
+    quot_total = homology.qn_homology(quot).total
+    excess = sub_profile.total + quot_total - homology.qn_homology(full).total
+    if excess < 0 or excess % 2:
+        raise ParityViolation(f"exactness defect {excess} at n={n} d={d} m={m}")
+    return sub_profile, excess // 2
+
+
+def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:
+    """Whether the ideal's homology maps to zero in the whole complex.
+
+    Checks on explicit representatives: every cocycle of the ideal
+    subcomplex must be a coboundary of the full complex.
+    """
+    full = _full_complex(n, d, m)
+    sel_sub, _ = _ideal_selection(d, m - d)
+    sub = full.restrict(sel_sub)
+    positions = {t: idx for t, idx in sel_sub.items() if idx}
+    for t, dim in sub.spaces.items():
+        block = sub.blocks.get(t)
+        cocycles = _kernel_basis(block) if block else [1 << j for j in range(dim)]
+        if not cocycles:
+            continue
+        boundaries = _echelon(full.block(t - full.shift))
+        for z in cocycles:
+            embedded = 0
+            for j in range(dim):
+                if z >> j & 1:
+                    embedded |= 1 << positions[t][j]
+            if not _in_span(embedded, boundaries):
+                return False
+    return True

@@ -58,6 +58,12 @@ def _cofiber_sum(n: int, d: int, m: int) -> int:
     return sum(_comb(top, d - 1 - 2 * i) * _comb(l, i) for i in range(d // 2 + 1))
 
 
+def _delta_sum(n: int, d: int, l: int) -> int:
+    """The connecting rank's binomial sum at m = 2^(n+1) - 1 + 2l, l > 0."""
+    top = 2 ** (n + 1) - 2
+    return sum(_comb(top, d - 1 - 2 * i) * _comb(l - 1, i) for i in range(d // 2 + 1))
+
+
 def _check_cell(n: int, d: int, m: int) -> None:
     if n < 0 or d < 0 or m < 0 or d > m:
         raise InvalidCell(f"invalid cell n={n} d={d} m={m}")
@@ -104,9 +110,7 @@ def predicted_delta_rank(n: int, d: int, m: int) -> int:
     _check_cell(n, d, m)
     if m % 2 == 0 or m <= 2 ** (n + 1):
         return 0
-    l = (m - 2 ** (n + 1) + 1) // 2
-    top = 2 ** (n + 1) - 2
-    return sum(_comb(top, d - 1 - 2 * i) * _comb(l - 1, i) for i in range(d // 2 + 1))
+    return _delta_sum(n, d, (m - 2 ** (n + 1) + 1) // 2)
 
 
 def lemma65_check(n: int, d: int, l: int) -> bool:
@@ -122,9 +126,7 @@ def lemma65_check(n: int, d: int, l: int) -> bool:
     lhs = _grassmannian_sum(n, d, m - 1) + _cofiber_sum(n, d, m) - _grassmannian_sum(n, d, m)
     if lhs % 2:
         return False
-    top = 2 ** (n + 1) - 2
-    rhs = sum(_comb(top, d - 1 - 2 * i) * _comb(l - 1, i) for i in range(d // 2 + 1))
-    return lhs // 2 == rhs
+    return lhs // 2 == _delta_sum(n, d, l)
 
 
 def projective_k(n: int, m: int) -> int:

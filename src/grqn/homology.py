@@ -8,38 +8,11 @@ Degree blocks never get assembled into one big matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from .schubert import Grid
+from typing import Iterable, Sequence
 
 
 class NotADifferential(ValueError):
     """Raised when a map fed to homology fails M o M = 0."""
-
-
-class GridTooSmall(ValueError):
-    """Raised when a cofiber construction needs codimension at least 1."""
-
-
-class ParityViolation(RuntimeError):
-    """Exactness bookkeeping produced an odd defect; indicates a bug."""
-
-
-def _rank_bits(cols: Iterable[int]) -> int:
-    """Rank of a set of bit-packed vectors over F_2."""
-    pivots: dict[int, int] = {}
-    r = 0
-    for v in cols:
-        while v:
-            b = v.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = v
-                r += 1
-                break
-            v ^= p
-    return r
 
 
 def _echelon(cols: Iterable[int]) -> dict[int, int]:
@@ -82,18 +55,6 @@ def _kernel_basis(cols: Sequence[int]) -> list[int]:
         else:
             kernel.append(combo)
     return kernel
-
-
-def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over F_2 of a dense 0/1 matrix given as rows."""
-    packed = []
-    for row in matrix:
-        bits = 0
-        for j, entry in enumerate(row):
-            if entry & 1:
-                bits |= 1 << j
-        packed.append(bits)
-    return _rank_bits(packed)
 
 
 @dataclass
@@ -192,7 +153,7 @@ def qn_homology(gm: GradedMap) -> HomologyProfile:
     """
     if not gm.compose_is_zero():
         raise NotADifferential("composite of consecutive blocks is nonzero")
-    ranks = {t: _rank_bits(cols) for t, cols in gm.blocks.items()}
+    ranks = {t: len(_echelon(cols)) for t, cols in gm.blocks.items()}
     per_degree: dict[int, int] = {}
     total = 0
     for t, n in gm.spaces.items():
@@ -203,119 +164,3 @@ def qn_homology(gm: GradedMap) -> HomologyProfile:
             per_degree[t] = h
         total += h
     return HomologyProfile(per_degree, total)
-
-
-def _ideal_selection(d: int, c: int) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Per-degree positions of the top-column ideal basis and its complement."""
-    from .schubert import Grid, schubert_basis
-
-    basis = schubert_basis(Grid(d, c))
-    sub: dict[int, list[int]] = {}
-    quot: dict[int, list[int]] = {}
-    for t, lams in basis.items():
-        sub[t] = [i for i, lam in enumerate(lams) if lam and lam[0] == c]
-        quot[t] = [i for i, lam in enumerate(lams) if not lam or lam[0] < c]
-    return sub, quot
-
-
-def _split_ideal(full: GradedMap, grid: "Grid") -> tuple[GradedMap, GradedMap]:
-    """Restrict the whole complex to the top-column ideal and to its quotient."""
-    sel_sub, sel_quot = _ideal_selection(grid.d, grid.c)
-    return full.restrict(sel_sub), full.restrict(sel_quot)
-
-
-def ideal_subcomplex(n: int, grid: "Grid") -> tuple[GradedMap, GradedMap]:
-    """Split the Grassmannian complex along the kernel of the restriction map.
-
-    The span of Schubert classes with a full first row is a differential
-    ideal computing the reduced cohomology of the inclusion cofiber; the
-    complementary span carries the complex of the one-step-smaller
-    Grassmannian.
-    """
-    from .schubert import lenart_qn_matrix
-
-    if grid.c < 1:
-        raise GridTooSmall(f"cofiber needs codimension >= 1, got {grid}")
-    return _split_ideal(lenart_qn_matrix(n, grid), grid)
-
-
-def twisted_complex(n: int, d: int, m: int) -> GradedMap:
-    """The cofiber complex modeled on the smaller Grassmannian's cohomology.
-
-    On x in H^*(Gr_{d-1}(R^{m-1})) the differential is Q_n(x) + x * a where
-    a is the degree-(2^(n+1)-1) additive characteristic class of the
-    canonical (d-1)-plane bundle.
-    """
-    from . import steenrod
-    from .schubert import Grid, free_operator_matrix
-
-    if d < 1 or m < d + 1:
-        raise GridTooSmall(f"twisted complex needs d >= 1 and m > d, got d={d} m={m}")
-    shift = 2 ** (n + 1) - 1
-    dd = d - 1
-    alpha = steenrod.s_class(shift, dd) if dd >= 1 else steenrod.zero(0)
-
-    def image(r: tuple[int, ...]):
-        poly = steenrod.milnor_q(n, steenrod.Polynomial(dd, frozenset({r})))
-        twist = frozenset(tuple(x + y for x, y in zip(r, u)) for u in alpha.terms)
-        return steenrod.Polynomial(dd, poly.terms ^ twist)
-
-    return free_operator_matrix(Grid(dd, m - d), shift, image)
-
-
-def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:
-    """Reduced cofiber homology and the rank of the connecting map.
-
-    Builds the whole complex once and restricts it to the ideal and the
-    quotient.  The rank is recovered from exactness: twice the rank is the
-    homology excess of the two pieces over the whole.
-    """
-    from .schubert import Grid, lenart_qn_matrix
-
-    c = m - d
-    if c < 1:
-        raise GridTooSmall(f"cofiber needs m - d >= 1, got d={d} m={m}")
-    grid = Grid(d, c)
-    full = lenart_qn_matrix(n, grid)
-    sub, quot = _split_ideal(full, grid)
-    sub_profile = qn_homology(sub)
-    excess = sub_profile.total + qn_homology(quot).total - qn_homology(full).total
-    if excess < 0 or excess % 2:
-        raise ParityViolation(f"exactness defect {excess} at n={n} d={d} m={m}")
-    return sub_profile, excess // 2
-
-
-def connecting_rank(n: int, d: int, m: int) -> int:
-    """Rank of the connecting map in the cofiber long exact sequence."""
-    return cofiber_homology(n, d, m)[1]
-
-
-def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:
-    """Whether the ideal's homology maps to zero in the whole complex.
-
-    Checks on explicit representatives: every cocycle of the ideal
-    subcomplex must be a coboundary of the full complex.
-    """
-    from .schubert import Grid, lenart_qn_matrix
-
-    c = m - d
-    if c < 1:
-        raise GridTooSmall(f"cofiber needs m - d >= 1, got d={d} m={m}")
-    full = lenart_qn_matrix(n, Grid(d, c))
-    sel_sub, _ = _ideal_selection(d, c)
-    sub = full.restrict(sel_sub)
-    positions = {t: idx for t, idx in sel_sub.items() if idx}
-    for t, dim in sub.spaces.items():
-        block = sub.blocks.get(t)
-        cocycles = _kernel_basis(block) if block else [1 << j for j in range(dim)]
-        if not cocycles:
-            continue
-        boundaries = _echelon(full.block(t - full.shift))
-        for z in cocycles:
-            embedded = 0
-            for j in range(dim):
-                if z >> j & 1:
-                    embedded |= 1 << positions[t][j]
-            if not _in_span(embedded, boundaries):
-                return False
-    return True

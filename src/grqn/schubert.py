@@ -19,12 +19,8 @@ from typing import Callable
 
 from . import steenrod
 from .homology import GradedMap
-from .steenrod import AmbientMismatch, Monomial, Polynomial
+from .steenrod import Monomial, Polynomial
 from .young import Partition, lenart_strips, partitions_in_grid
-
-
-class IndexOutOfRange(ValueError):
-    """Raised when a generator index leaves 1..d."""
 
 
 @dataclass(frozen=True)
@@ -45,26 +41,6 @@ class Grid:
     @property
     def top_degree(self) -> int:
         return self.d * self.c
-
-
-@dataclass(frozen=True)
-class SchubertVector:
-    """F_2 combination of Schubert classes fitting the grid."""
-
-    grid: Grid
-    support: frozenset[Partition]
-
-    def __add__(self, other: "SchubertVector") -> "SchubertVector":
-        if self.grid != other.grid:
-            raise AmbientMismatch(f"grid mismatch: {self.grid} vs {other.grid}")
-        return SchubertVector(self.grid, self.support ^ other.support)
-
-    def __bool__(self) -> bool:
-        return bool(self.support)
-
-
-def unit(grid: Grid) -> SchubertVector:
-    return SchubertVector(grid, frozenset({()}))
 
 
 class _GridContext:
@@ -202,40 +178,6 @@ def _vertical_strips(lam: Partition, j: int, d: int, c: int) -> list[Partition]:
     if d:
         rec(0, j)
     return out
-
-
-def pieri_multiply(v: SchubertVector, i: int) -> SchubertVector:
-    """Multiply by w_i = s_(1^i); partitions leaving the grid are discarded."""
-    d, c = v.grid.d, v.grid.c
-    if not 1 <= i <= d:
-        raise IndexOutOfRange(f"generator index {i} outside 1..{d}")
-    acc: set[Partition] = set()
-    for lam in v.support:
-        for mu in _vertical_strips(lam, i, d, c):
-            acc ^= {mu}
-    return SchubertVector(v.grid, frozenset(acc))
-
-
-def monomial_to_schubert(r: Monomial, grid: Grid) -> SchubertVector:
-    """Image of the monomial w^r in the quotient ring."""
-    if len(r) != grid.d:
-        raise AmbientMismatch(f"monomial over {len(r)} generators in a d={grid.d} grid")
-    ctx = _context(grid)
-    t = steenrod.monomial_degree(r)
-    mask = ctx.convert(r)
-    lams = ctx.basis.get(t, [])
-    support = frozenset(lams[k] for k in range(len(lams)) if mask >> k & 1)
-    return SchubertVector(grid, support)
-
-
-def polynomial_to_schubert(p: Polynomial, grid: Grid) -> SchubertVector:
-    """Additive extension of monomial conversion."""
-    if p.d != grid.d:
-        raise AmbientMismatch(f"polynomial over {p.d} generators in a d={grid.d} grid")
-    acc: set[Partition] = set()
-    for r in p.terms:
-        acc ^= monomial_to_schubert(r, grid).support
-    return SchubertVector(grid, frozenset(acc))
 
 
 def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:

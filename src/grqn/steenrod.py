@@ -244,11 +244,3 @@ def s_class(k: int, d: int) -> Polynomial:
     _S_CLASS[key] = acc
     return acc
 
-
-def total_sq(p: Polynomial) -> Polynomial:
-    """Sum of all squares of p; finite by instability."""
-    acc = p
-    top = max((monomial_degree(r) for r in p.terms), default=0)
-    for i in range(1, top + 1):
-        acc = acc + sq(i, p)
-    return acc

@@ -2,10 +2,187 @@
 
 The strip rule here is the generate-and-filter form: every grid partition
 above lam at the right distance, each tested span by span.  The library's
-``lenart_strips`` walks the odd-coefficient strips directly instead.
+``lenart_strips`` walks the odd-coefficient strips directly instead.  The
+skew-shape layer, the dense rank and the total square serve only as
+oracles and test helpers; the library itself works on bit-packed vectors.
 """
 
-from grqn.young import NotContained, Partition, _extensions, contains
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
+
+from grqn.homology import _echelon
+from grqn.schubert import Grid, _context
+from grqn.steenrod import Polynomial, monomial_degree, sq
+from grqn.young import Partition
+
+Cell = tuple[int, int]
+
+SHARP = "sharp"
+DULL = "dull"
+
+
+class NotContained(ValueError):
+    """Raised when the inner shape of a skew pair sticks out of the outer one."""
+
+
+class InvalidStrip(ValueError):
+    """Raised when corner extraction is asked of a shape with a 2x2 block."""
+
+
+# --- partitions and skew shapes ----------------------------------------------
+
+
+def check_partition(parts: tuple[int, ...]) -> Partition:
+    """Validate weak decrease and positivity; returns the tuple unchanged."""
+    for i, p in enumerate(parts):
+        if p <= 0:
+            raise ValueError(f"partition parts must be positive: {parts}")
+        if i and p > parts[i - 1]:
+            raise ValueError(f"partition parts must weakly decrease: {parts}")
+    return parts
+
+
+def contains(outer: Partition, inner: Partition) -> bool:
+    if len(inner) > len(outer):
+        return False
+    return all(inner[i] <= outer[i] for i in range(len(inner)))
+
+
+def transpose(lam: Partition) -> Partition:
+    """The conjugate partition: column lengths become row lengths."""
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+
+
+def _extensions(lam: Partition, k: int, d: int, c: int) -> list[Partition]:
+    """All grid partitions containing lam with exactly k extra boxes.
+
+    Emitted in lexicographically descending order, which makes the
+    concatenation over k the canonical graded basis order.
+    """
+    base = list(lam) + [0] * (d - len(lam))
+    out: list[Partition] = []
+    row = [0] * d
+
+    def rec(i: int, rem: int, prev: int) -> None:
+        if i == d:
+            if rem == 0:
+                j = d
+                while j and row[j - 1] == 0:
+                    j -= 1
+                out.append(tuple(row[:j]))
+            return
+        lo = base[i]
+        hi = min(prev, lo + rem)
+        for v in range(hi, lo - 1, -1):
+            row[i] = v
+            rec(i + 1, rem - (v - lo), v)
+        row[i] = 0
+
+    if d == 0:
+        return [()] if k == 0 else []
+    rec(0, k, c)
+    return out
+
+
+@dataclass(frozen=True)
+class SkewShape:
+    """The cells of ``outer`` not in ``inner``."""
+
+    inner: Partition
+    outer: Partition
+
+    @cached_property
+    def cells(self) -> frozenset[Cell]:
+        out = set()
+        for i, hi in enumerate(self.outer, start=1):
+            lo = self.inner[i - 1] if i <= len(self.inner) else 0
+            out.update((i, j) for j in range(lo + 1, hi + 1))
+        return frozenset(out)
+
+    @cached_property
+    def row_spans(self) -> tuple[tuple[int, int, int], ...]:
+        """Nonempty rows as ``(row, lo, hi)`` with cells in columns lo+1..hi."""
+        spans = []
+        for i, hi in enumerate(self.outer, start=1):
+            lo = self.inner[i - 1] if i <= len(self.inner) else 0
+            if hi > lo:
+                spans.append((i, lo, hi))
+        return tuple(spans)
+
+
+@dataclass(frozen=True)
+class StripClass:
+    """Border-strip classification; ``components`` is None on a 2x2 block."""
+
+    components: int | None
+
+    @property
+    def is_broken_border_strip(self) -> bool:
+        return self.components is not None
+
+
+NOT_BROKEN_BORDER_STRIP = StripClass(None)
+
+
+def skew(outer: Partition, inner: Partition) -> SkewShape:
+    check_partition(outer)
+    check_partition(inner)
+    if not contains(outer, inner):
+        raise NotContained(f"{inner} is not contained in {outer}")
+    return SkewShape(inner, outer)
+
+
+def content(b: Cell) -> int:
+    """Column minus row."""
+    return b[1] - b[0]
+
+
+def classify_strip(s: SkewShape) -> StripClass:
+    """No-2x2-block test plus a count of edge-connected components.
+
+    Rows of a skew shape are contiguous intervals, so both questions reduce
+    to the overlap of consecutive row spans.
+    """
+    spans = s.row_spans
+    if not spans:
+        return StripClass(0)
+    comps = 1
+    for (i1, lo1, _hi1), (i2, _lo2, hi2) in zip(spans, spans[1:]):
+        if i2 != i1 + 1:
+            comps += 1
+            continue
+        overlap = hi2 - lo1
+        if overlap >= 2:
+            return NOT_BROKEN_BORDER_STRIP
+        if overlap <= 0:
+            comps += 1
+    return StripClass(comps)
+
+
+def corners(s: SkewShape) -> list[tuple[Cell, str]]:
+    """Sharp and dull corners of a broken border strip, sorted by position.
+
+    Sharp: no north, west or northwest neighbour.  Dull: north and west
+    neighbours but no northwest one.
+    """
+    if not classify_strip(s).is_broken_border_strip:
+        raise InvalidStrip("corners are only defined for broken border strips")
+    spans = s.row_spans
+    found: list[tuple[Cell, str]] = []
+    for idx, (i, lo, hi) in enumerate(spans):
+        above = spans[idx - 1] if idx and spans[idx - 1][0] == i - 1 else None
+        if above is None or above[1] != lo:
+            found.append(((i, lo + 1), SHARP))
+        if above is not None and above[1] >= lo + 1 and above[1] + 1 <= hi:
+            found.append(((i, above[1] + 1), DULL))
+    found.sort()
+    return found
+
+
+# --- the strip rule ------------------------------------------------------------
 
 
 def covers_at_distance(lam: Partition, k: int, d: int, c: int) -> list[Partition]:
@@ -60,3 +237,44 @@ def lenart_coefficient(lam: Partition, mu: Partition) -> int:
 def filtered_strips(lam: Partition, k: int, d: int, c: int) -> list[Partition]:
     """The candidates above lam whose strip coefficient is one."""
     return [mu for mu in covers_at_distance(lam, k, d, c) if lenart_coefficient(lam, mu)]
+
+
+# --- bit-packed vectors read back as sets --------------------------------------
+
+
+def decode(mask: int, basis: Sequence[Partition]) -> set[Partition]:
+    """The partitions whose positions in ``basis`` are set in ``mask``."""
+    return {lam for k, lam in enumerate(basis) if mask >> k & 1}
+
+
+def schubert_support(p: Polynomial, grid: Grid) -> set[Partition]:
+    """The Schubert classes of p's image in the grid's quotient ring."""
+    ctx = _context(grid)
+    out: set[Partition] = set()
+    for r in p.terms:
+        out ^= decode(ctx.convert(r), ctx.basis.get(monomial_degree(r), []))
+    return out
+
+
+# --- dense linear algebra and the total square -----------------------------------
+
+
+def rank(matrix: Sequence[Sequence[int]]) -> int:
+    """Rank over F_2 of a dense 0/1 matrix given as rows."""
+    packed = []
+    for row in matrix:
+        bits = 0
+        for j, entry in enumerate(row):
+            if entry & 1:
+                bits |= 1 << j
+        packed.append(bits)
+    return len(_echelon(packed))
+
+
+def total_sq(p: Polynomial) -> Polynomial:
+    """Sum of all squares of p; finite by instability."""
+    acc = p
+    top = max((monomial_degree(r) for r in p.terms), default=0)
+    for i in range(1, top + 1):
+        acc = acc + sq(i, p)
+    return acc

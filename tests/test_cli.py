@@ -305,3 +305,65 @@ def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
     )
     assert RecordingPool.sizes == [3]
     assert summary["proven"] == 4
+
+
+def read_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+def test_sweep_keeps_records_finished_before_a_crash(tmp_path, monkeypatch):
+    cache = str(tmp_path / "c.jsonl")
+    real = cli.compute_cell
+    calls = []
+
+    def crash_on_third(n, d, m, **kwargs):
+        calls.append((n, d, m))
+        if len(calls) == 3:
+            raise RuntimeError("injected worker failure")
+        return real(n, d, m, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_cell", crash_on_third)
+    with pytest.raises(RuntimeError, match="injected"):
+        verify_sweep(range(1, 2), range(1, 2), range(1, 6), jobs=1, cache_path=cache)
+    kept = [json.loads(line) for line in read_lines(cache)]
+    assert [(r["n"], r["d"], r["m"]) for r in kept] == calls[:2]
+
+
+def test_torn_last_cache_line_resumes_and_recomputes(tmp_path):
+    cache = str(tmp_path / "c.jsonl")
+    verify_sweep(range(1, 2), range(1, 2), range(1, 4), cache_path=cache)
+    lines = read_lines(cache)
+    with open(cache, "w") as fh:
+        fh.write("\n".join(lines[:2]) + "\n" + lines[2][:25])  # the third write cut off
+    assert len(load_cache(cache)) == 2
+    summary = verify_sweep(range(1, 2), range(1, 2), range(1, 4), cache_path=cache)
+    assert summary["skipped"] == 2
+    assert summary["proven"] + summary["conjecture_match"] == 3
+    again = read_lines(cache)
+    assert again[:2] == lines[:2]
+    assert len(again) == 3
+    assert json.loads(again[2])["m"] == json.loads(lines[2])["m"]
+    assert len(load_cache(cache)) == 3
+
+
+def test_complete_last_record_without_line_break_is_kept(tmp_path):
+    cache = str(tmp_path / "c.jsonl")
+    verify_sweep(range(1, 2), range(1, 2), range(1, 3), cache_path=cache)
+    lines = read_lines(cache)
+    with open(cache, "w") as fh:
+        fh.write(lines[0])  # only the line break was lost
+    summary = verify_sweep(range(1, 2), range(1, 2), range(1, 3), cache_path=cache)
+    assert summary["skipped"] == 1
+    assert read_lines(cache)[0] == lines[0]
+    assert len(load_cache(cache)) == 2
+
+
+def test_unreadable_line_before_the_end_still_fails(tmp_path):
+    cache = str(tmp_path / "c.jsonl")
+    verify_sweep(range(1, 2), range(1, 2), range(1, 4), cache_path=cache)
+    lines = read_lines(cache)
+    with open(cache, "w") as fh:
+        fh.write("\n".join([lines[0], lines[1][:25], lines[2]]))
+    with pytest.raises(CacheCorrupt, match="line 2"):
+        verify_sweep(range(1, 2), range(1, 2), range(1, 4), cache_path=cache)

@@ -17,9 +17,9 @@ from grqn.steenrod import (
     one,
     s_class,
     sq,
-    total_sq,
     zero,
 )
+from oracles import total_sq
 
 
 def poly(d, *monomials):

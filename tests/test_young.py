@@ -7,21 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grqn.young import (
+from grqn.young import lenart_strips, partitions_in_grid
+from oracles import (
     DULL,
     SHARP,
     InvalidStrip,
     NotContained,
-    SkewShape,
     StripClass,
+    _extensions,
     classify_strip,
     content,
     corners,
-    lenart_strips,
-    partitions_in_grid,
+    covers_at_distance,
+    filtered_strips,
+    lenart_coefficient,
     skew,
 )
-from oracles import covers_at_distance, filtered_strips, lenart_coefficient
 
 
 def brute_classify(cells):
@@ -81,9 +82,12 @@ def test_partitions_in_grid_2x2_exact_order():
 def test_partitions_in_grid_degenerate_and_counts():
     assert partitions_in_grid(0, 5) == [()]
     assert len(partitions_in_grid(2, 4)) == 15
-    for d in range(5):
-        for c in range(6):
-            assert len(partitions_in_grid(d, c)) == comb(d + c, d)
+    for d in range(9):
+        for c in range(9):
+            got = partitions_in_grid(d, c)
+            assert len(got) == comb(d + c, d)
+            expected = [mu for t in range(d * c + 1) for mu in _extensions((), t, d, c)]
+            assert got == expected, (d, c)
 
 
 def test_skew_cells_example():
