@@ -287,6 +287,8 @@ def _sweep_cell(args: tuple[int, int, int, int]) -> tuple[str, ResultRecord | st
         return "too_large", None
     except LowerBoundViolation as exc:
         return "lower_bound", str(exc)
+    except Exception as exc:  # one failing cell must not end the sweep
+        return "failed", f"cell n={n} d={d} m={m}: {exc}"
 
 
 def verify_sweep(
@@ -301,7 +303,9 @@ def verify_sweep(
 
     Runs at most one worker per CPU.  Each record is written and flushed as
     soon as its cell is done, in cell order, so an interrupted sweep keeps
-    the cells finished before the interruption.
+    the cells finished before the interruption.  A cell that raises counts
+    as a mismatch and is reported on stderr; it gets no record, so the next
+    sweep retries it.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
@@ -337,6 +341,9 @@ def verify_sweep(
                 counts["Skipped"] += 1
             elif tag == "lower_bound":
                 violations += 1
+            elif tag == "failed":
+                counts[STATUS_MISMATCH] += 1
+                print(f"grqn: {payload}", file=sys.stderr)
             else:
                 rec = payload
                 counts[rec.status] += 1

@@ -70,15 +70,15 @@ def twisted_complex(n: int, d: int, m: int) -> GradedMap:
     if d < 1 or m < d + 1:
         raise GridTooSmall(f"twisted complex needs d >= 1 and m > d, got d={d} m={m}")
     shift = 2 ** (n + 1) - 1
-    dd = d - 1
-    alpha = steenrod.s_class(shift, dd) if dd >= 1 else steenrod.zero(0)
+    grid = Grid(d - 1, m - d)
+    q_image = schubert.derivation_image(n, grid)
+    # a has degree shift, so it packs exactly whenever the map has a block.
+    twist = [schubert.pack(grid, a) for a in steenrod.s_class(shift, grid.d).terms]
 
-    def image(r: tuple[int, ...]) -> steenrod.Polynomial:
-        poly = steenrod.milnor_q(n, steenrod.Polynomial(dd, frozenset({r})))
-        twist = frozenset(tuple(x + y for x, y in zip(r, u)) for u in alpha.terms)
-        return steenrod.Polynomial(dd, poly.terms ^ twist)
+    def image(r: int) -> list[int]:
+        return q_image(r) + [r + a for a in twist]
 
-    return schubert.free_operator_matrix(Grid(dd, m - d), shift, image)
+    return schubert.free_operator_matrix(grid, shift, image)
 
 
 def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:

@@ -6,20 +6,22 @@ and the Wu/commutator derivation computed in Stiefel-Whitney monomials and
 conjugated into the Schubert basis.  Their bit-for-bit agreement is the
 project's main cross-check.
 
-Per-grid state (basis tables, multiplication blocks, conversion caches) is
-kept in a small LRU of immutable-once-built contexts; all cached values are
-deterministic, so concurrent use cannot produce divergent results.
+Inside this module a monomial w_1^(r_1)..w_d^(r_d) is a packed int: r_j sits
+in slot j - 1 of a grid-wide slot width, so a product within the top degree
+is a sum of ints.  Per-grid state (basis tables, multiplication blocks, the
+conversion cache and each degree's inverse basis change) is kept in a small
+LRU of immutable-once-built contexts; all cached values are deterministic,
+so concurrent use cannot produce divergent results.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import Callable
 
 from . import steenrod
 from .homology import GradedMap
-from .steenrod import Monomial, Polynomial
 from .young import Partition, lenart_strips, partitions_in_grid
 
 
@@ -44,10 +46,16 @@ class Grid:
 
 
 class _GridContext:
-    """Basis tables and bit-packed multiplication data for one grid."""
+    """Basis tables and bit-packed multiplication data for one grid.
+
+    Monomials are packed ``slot`` bits per generator.  The slot holds the
+    top degree, and no exponent of a monomial exceeds its degree, so every
+    monomial of degree at most the top degree packs without carry.
+    """
 
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
+        self.slot = max(1, grid.top_degree.bit_length())
         self.basis: dict[int, list[Partition]] = {}
         self.index: dict[int, dict[Partition, int]] = {}
         for lam in partitions_in_grid(grid.d, grid.c):
@@ -56,8 +64,16 @@ class _GridContext:
         for t, lams in self.basis.items():
             self.index[t] = {lam: i for i, lam in enumerate(lams)}
         self._pieri: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._convert: dict[Monomial, int] = {(0,) * grid.d: 1}
-        self._monomials: dict[int, list[Monomial]] = {}
+        self._convert: dict[int, int] = {0: 1}
+        self._monomials: dict[int, list[int]] = {}
+        self._inverse: dict[int, list[int]] = {}
+
+    def pack(self, r: tuple[int, ...]) -> int:
+        """The packed monomial w^r; exact while each exponent fits a slot."""
+        u = 0
+        for i, e in enumerate(r):
+            u |= e << self.slot * i
+        return u
 
     def pieri_block(self, j: int, t: int) -> tuple[int, ...]:
         """Columns of multiplication by w_j from degree t to degree t + j."""
@@ -76,59 +92,71 @@ class _GridContext:
         self._pieri[key] = block
         return block
 
-    def convert(self, r: Monomial) -> int:
-        """Bitmask of the Schubert expansion of the monomial w^r.
+    def convert(self, u: int, t: int) -> int:
+        """Bitmask of the Schubert expansion of the degree-t packed monomial u.
 
-        Zero when the image dies in the quotient.  Computed by peeling one
-        generator at a time so common prefixes are shared.
+        Zero when the image dies in the quotient.  Peels the top generator
+        down to a monomial already converted, then multiplies back up one
+        Pieri block at a time, caching every prefix on the way.
         """
-        cached = self._convert.get(r)
-        if cached is not None:
-            return cached
-        t = steenrod.monomial_degree(r)
         if t > self.grid.top_degree:
-            self._convert[r] = 0
             return 0
-        j = max(i + 1 for i, e in enumerate(r) if e)
-        prefix = list(r)
-        prefix[j - 1] -= 1
-        mask = self.convert(tuple(prefix))
-        block = self.pieri_block(j, t - j)
-        out = 0
-        while mask:
-            low = mask & -mask
-            out ^= block[low.bit_length() - 1]
-            mask ^= low
-        self._convert[r] = out
+        cache = self._convert
+        out = cache.get(u)
+        if out is not None:
+            return out
+        slot = self.slot
+        peeled = []
+        while out is None:
+            j = (u.bit_length() - 1) // slot + 1
+            peeled.append((u, j))
+            u -= 1 << slot * (j - 1)
+            t -= j
+            out = cache.get(u)
+        for v, j in reversed(peeled):
+            block = self.pieri_block(j, t)
+            mask, out = out, 0
+            while mask:
+                low = mask & -mask
+                out ^= block[low.bit_length() - 1]
+                mask ^= low
+            cache[v] = out
+            t += j
         return out
 
-    def monomials(self, t: int) -> list[Monomial]:
-        """Degree-t monomial basis: exponent tuples with at most c factors."""
+    def monomials(self, t: int) -> list[int]:
+        """Degree-t monomial basis, packed: the monomials with at most c factors."""
         cached = self._monomials.get(t)
         if cached is not None:
             return cached
-        d, c = self.grid.d, self.grid.c
-        out: list[Monomial] = []
-        r = [0] * d
+        c, slot = self.grid.c, self.slot
+        out: list[int] = []
 
-        def rec(j: int, deg: int, factors: int) -> None:
+        def rec(j: int, deg: int, factors: int, u: int) -> None:
             if j == 0:
                 if deg == 0:
-                    out.append(tuple(r))
+                    out.append(u)
                 return
             cap = min(deg // j, c - factors)
             for e in range(cap, -1, -1):
-                r[j - 1] = e
-                rec(j - 1, deg - e * j, factors + e)
-            r[j - 1] = 0
+                rec(j - 1, deg - e * j, factors + e, u | e << slot * (j - 1))
 
-        if d == 0:
-            if t == 0:
-                out.append(())
-        else:
-            rec(d, t, 0)
+        rec(self.grid.d, t, 0, 0)
         self._monomials[t] = out
         return out
+
+    def inverse(self, t: int) -> list[int]:
+        """Columns of the inverse of the degree-t monomial-to-Schubert change."""
+        cached = self._inverse.get(t)
+        if cached is not None:
+            return cached
+        monos = self.monomials(t)
+        dim = len(self.basis[t])
+        if len(monos) != dim:
+            raise RuntimeError(f"monomial/Schubert basis size mismatch at degree {t}")
+        inv = _invert_columns([self.convert(r, t) for r in monos], dim)
+        self._inverse[t] = inv
+        return inv
 
 
 _CONTEXTS: OrderedDict[Grid, _GridContext] = OrderedDict()
@@ -232,33 +260,28 @@ def _invert_columns(cols: list[int], size: int) -> list[int]:
 
 
 def free_operator_matrix(
-    grid: Grid, shift: int, image: Callable[[Monomial], Polynomial]
+    grid: Grid, shift: int, image: Callable[[int], Iterable[int]]
 ) -> GradedMap:
     """Matrix of a free-ring operator pushed to the Schubert basis.
 
-    ``image`` maps a basis monomial to its (degree-homogeneous, degree
-    raised by ``shift``) value in the free ring; the result is conjugated
-    through the monomial-to-Schubert basis change degree by degree.
+    ``image`` maps a packed basis monomial of degree t to the packed terms of
+    its value, all of degree t + shift, with multiplicity: conversion is
+    linear over F_2, so the terms' masks are XORed.  The result is conjugated
+    through the grid's basis change, inverted once per degree and kept.
     """
     ctx = _context(grid)
     spaces = {t: len(lams) for t, lams in ctx.basis.items()}
     blocks: dict[int, tuple[int, ...]] = {}
     for t in range(grid.top_degree - shift + 1):
-        monos = ctx.monomials(t)
-        dim = len(ctx.basis[t])
-        if len(monos) != dim:
-            raise RuntimeError(f"monomial/Schubert basis size mismatch at degree {t}")
-        b_cols = [ctx.convert(r) for r in monos]
+        s = t + shift
         c_cols = []
-        for r in monos:
+        for r in ctx.monomials(t):
             out = 0
-            for u in image(r).terms:
-                out ^= ctx.convert(u)
+            for u in image(r):
+                out ^= ctx.convert(u, s)
             c_cols.append(out)
-        inv = _invert_columns(b_cols, dim)
         cols = []
-        for s in range(dim):
-            x = inv[s]
+        for x in ctx.inverse(t):
             col = 0
             while x:
                 low = x & -x
@@ -269,13 +292,35 @@ def free_operator_matrix(
     return GradedMap(shift, spaces, blocks)
 
 
-def derivation_qn_matrix(n: int, grid: Grid) -> GradedMap:
-    """The primitive's matrix from the Wu-formula derivation route."""
+def pack(grid: Grid, r: tuple[int, ...]) -> int:
+    """The grid's packed form of the monomial w^r (see ``_GridContext``)."""
+    return _context(grid).pack(r)
+
+
+def derivation_image(n: int, grid: Grid) -> Callable[[int], list[int]]:
+    """Q_n on the grid's packed monomials, extended from generators as a derivation.
+
+    The image of w^r lists w^(r - e_j) * Q_n(w_j) over each j with r_j odd.
+    Generators whose image passes the top degree appear in no image the
+    matrix needs, so their Steenrod tables are never built.
+    """
     if n < 0:
         raise ValueError(f"primitive index must be nonnegative, got {n}")
     shift = 2 ** (n + 1) - 1
+    ctx = _context(grid)
+    gens = []
+    for j in range(1, min(grid.d, grid.top_degree - shift) + 1):
+        offset = ctx.slot * (j - 1)
+        terms = [ctx.pack(v) for v in steenrod._q_gen(n, j, grid.d).terms]
+        gens.append((offset, 1 << offset, terms))
 
-    def image(r: Monomial) -> Polynomial:
-        return steenrod.milnor_q(n, Polynomial(grid.d, frozenset({r})))
+    def image(r: int) -> list[int]:
+        return [r - unit + v for offset, unit, terms in gens if r >> offset & 1 for v in terms]
 
-    return free_operator_matrix(grid, shift, image)
+    return image
+
+
+def derivation_qn_matrix(n: int, grid: Grid) -> GradedMap:
+    """The primitive's matrix from the Wu-formula derivation route."""
+    image = derivation_image(n, grid)
+    return free_operator_matrix(grid, 2 ** (n + 1) - 1, image)

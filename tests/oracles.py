@@ -252,7 +252,8 @@ def schubert_support(p: Polynomial, grid: Grid) -> set[Partition]:
     ctx = _context(grid)
     out: set[Partition] = set()
     for r in p.terms:
-        out ^= decode(ctx.convert(r), ctx.basis.get(monomial_degree(r), []))
+        t = monomial_degree(r)
+        out ^= decode(ctx.convert(ctx.pack(r), t), ctx.basis.get(t, []))
     return out
 
 

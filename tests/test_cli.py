@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grqn import cli
 from grqn.cli import (
@@ -198,6 +200,12 @@ def test_cofiber_report_collapse_range():
     assert rep["twisted_match"] is True
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 6), st.integers(1, 6))
+def test_twisted_complex_matches_the_cofiber_property(n, d, c):
+    assert cofiber_report(n, d, d + c)["twisted_match"] is True
+
+
 def test_parse_range():
     assert list(_parse_range("2..4")) == [2, 3, 4]
     assert list(_parse_range("3")) == [3]
@@ -312,7 +320,7 @@ def read_lines(path):
         return fh.read().splitlines()
 
 
-def test_sweep_keeps_records_finished_before_a_crash(tmp_path, monkeypatch):
+def test_sweep_keeps_records_finished_before_a_crash(tmp_path, monkeypatch, capsys):
     cache = str(tmp_path / "c.jsonl")
     real = cli.compute_cell
     calls = []
@@ -324,10 +332,34 @@ def test_sweep_keeps_records_finished_before_a_crash(tmp_path, monkeypatch):
         return real(n, d, m, **kwargs)
 
     monkeypatch.setattr(cli, "compute_cell", crash_on_third)
-    with pytest.raises(RuntimeError, match="injected"):
-        verify_sweep(range(1, 2), range(1, 2), range(1, 6), jobs=1, cache_path=cache)
+    summary = verify_sweep(range(1, 2), range(1, 2), range(1, 6), jobs=1, cache_path=cache)
+    assert summary["mismatch"] == 1
+    assert summary["proven"] + summary["conjecture_match"] == 4
     kept = [json.loads(line) for line in read_lines(cache)]
-    assert [(r["n"], r["d"], r["m"]) for r in kept] == calls[:2]
+    assert [(r["n"], r["d"], r["m"]) for r in kept] == calls[:2] + calls[3:]
+    assert capsys.readouterr().err == "grqn: cell n=1 d=1 m=4: injected worker failure\n"
+
+
+def test_parallel_sweep_keeps_every_cell_but_the_one_that_failed(tmp_path, monkeypatch, capsys):
+    cache = str(tmp_path / "c.jsonl")
+    real = cli.compute_cell
+
+    def crash_at_m4(n, d, m, **kwargs):
+        if m == 4:
+            raise RuntimeError("injected worker failure")
+        return real(n, d, m, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_cell", crash_at_m4)  # before the pool forks
+    argv = ["verify", "--n", "1", "--d", "1", "--c", "1..5", "--jobs", "2", "--cache", cache]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["mismatch"] == 1
+    assert captured.err == "grqn: cell n=1 d=1 m=4: injected worker failure\n"
+    kept = [json.loads(line) for line in read_lines(cache)]
+    assert [r["m"] for r in kept] == [2, 3, 5, 6]
+    monkeypatch.setattr(cli, "compute_cell", real)
+    retry = verify_sweep(range(1, 2), range(1, 2), range(1, 6), cache_path=cache)
+    assert retry["skipped"] == 4 and retry["mismatch"] == 0  # the failed cell is retried
 
 
 def test_torn_last_cache_line_resumes_and_recomputes(tmp_path):

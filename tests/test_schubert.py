@@ -4,8 +4,18 @@ import random
 from itertools import combinations
 from math import comb
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from grqn.homology import _echelon
-from grqn.schubert import Grid, _context, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
+from grqn.schubert import (
+    Grid,
+    _context,
+    derivation_qn_matrix,
+    lenart_qn_matrix,
+    pack,
+    schubert_basis,
+)
 from grqn.steenrod import dual_class, generator, monomial_degree
 from grqn.young import partitions_in_grid
 from oracles import decode, schubert_support, transpose
@@ -87,7 +97,8 @@ def pieri(grid, lam, j):
 def convert(grid, r):
     """Schubert classes of the monomial w^r, read off the bit-packed conversion."""
     ctx = _context(grid)
-    return decode(ctx.convert(r), ctx.basis.get(monomial_degree(r), []))
+    t = monomial_degree(r)
+    return decode(ctx.convert(pack(grid, r), t), ctx.basis.get(t, []))
 
 
 def test_pieri_unit_action():
@@ -120,6 +131,15 @@ def test_pieri_matches_schur_oracle():
 # --- basis change ------------------------------------------------------------
 
 
+def sum_of_columns(cols, selection):
+    """XOR of the columns whose positions are set in ``selection``."""
+    out = 0
+    for k, col in enumerate(cols):
+        if selection >> k & 1:
+            out ^= col
+    return out
+
+
 def test_monomial_conversion_examples():
     g = Grid(2, 2)
     assert convert(g, (2, 0)) == {(2,), (1, 1)}
@@ -149,9 +169,11 @@ def test_basis_change_is_invertible():
             ctx = _context(g)
             total = 0
             for t, lams in schubert_basis(g).items():
-                cols = [ctx.convert(r) for r in ctx.monomials(t)]
+                cols = [ctx.convert(u, t) for u in ctx.monomials(t)]
                 assert len(cols) == len(lams)
                 assert len(_echelon(cols)) == len(lams)
+                for s, x in enumerate(ctx.inverse(t)):
+                    assert sum_of_columns(cols, x) == 1 << s  # the cached inverse
                 total += len(lams)
             assert total == comb(d + c, d)
 
@@ -203,11 +225,27 @@ def test_lenart_matrix_projective_plane():
 
 
 def test_constructions_agree_on_small_grids():
-    for n in (0, 1):
-        for d in (1, 2, 3):
-            for c in (1, 2, 3):
+    for n in range(4):
+        for d in range(7):
+            for c in range(8):
                 g = Grid(d, c)
                 assert lenart_qn_matrix(n, g) == derivation_qn_matrix(n, g)
+
+
+def test_constructions_agree_where_exponents_fill_their_slot():
+    # Top degrees 510 and 512 take 9- and 10-bit slots.  Powers of w_1 past
+    # w_1^255 occur in both, so a fixed 8-bit slot would carry into w_2.
+    for c in (255, 256):
+        g = Grid(2, c)
+        assert lenart_qn_matrix(0, g) == derivation_qn_matrix(0, g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 6), st.integers(0, 6))
+def test_routes_agree_and_square_to_zero_property(n, d, c):
+    gm = lenart_qn_matrix(n, Grid(d, c))
+    assert gm == derivation_qn_matrix(n, Grid(d, c))
+    assert gm.compose_is_zero()
 
 
 def test_matrix_square_is_zero():
