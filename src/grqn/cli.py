@@ -14,7 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from math import comb
 
 from .cofiber import GridTooSmall, cofiber_homology, twisted_complex
@@ -69,33 +69,16 @@ class ResultRecord:
     elapsed_ms: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "d": self.d,
-                "m": self.m,
-                "computed_total": self.computed_total,
-                "per_degree": [[t, v] for t, v in self.per_degree],
-                "predicted": self.predicted,
-                "status": self.status,
-                "method": self.method,
-                "elapsed_ms": self.elapsed_ms,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ResultRecord":
-        return cls(
-            n=raw["n"],
-            d=raw["d"],
-            m=raw["m"],
-            computed_total=raw["computed_total"],
-            per_degree=tuple((t, v) for t, v in raw["per_degree"]),
-            predicted=raw["predicted"],
-            status=raw["status"],
-            method=raw["method"],
-            elapsed_ms=raw["elapsed_ms"],
-        )
+        """The record in ``raw``, ignoring extra keys; a missing key is a KeyError."""
+        rec = cls(**{f.name: raw[f.name] for f in fields(cls)})
+        rec.per_degree = tuple((t, v) for t, v in rec.per_degree)
+        if rec.status not in (STATUS_PROVEN, STATUS_CONJECTURE, STATUS_MISMATCH):
+            raise ValueError(f"unknown status {rec.status!r}")
+        return rec
 
 
 def cell_limit() -> int:
@@ -126,14 +109,18 @@ def _build_matrix(n: int, grid: Grid, method: str):
     raise ValueError(f"unknown method {method!r}")
 
 
-def compute_cell(n: int, d: int, m: int, basis: str = "auto", limit: int | None = None) -> ResultRecord:
-    """Build the cell's differential, take homology, compare with prediction."""
-    if n < 0 or d < 0 or m < 0 or d > m:
-        raise InvalidCell(f"invalid cell n={n} d={d} m={m}")
+def _check_size(d: int, m: int, limit: int | None) -> None:
     size = comb(m, d)
     cap = cell_limit() if limit is None else limit
     if size > cap:
         raise CellTooLarge(f"basis size {size} exceeds limit {cap}")
+
+
+def compute_cell(n: int, d: int, m: int, basis: str = "auto", limit: int | None = None) -> ResultRecord:
+    """Build the cell's differential, take homology, compare with prediction."""
+    if n < 0 or d < 0 or m < 0 or d > m:
+        raise InvalidCell(f"invalid cell n={n} d={d} m={m}")
+    _check_size(d, m, limit)
     method = {
         "auto": default_method(n, d, m),
         "lenart": METHOD_LENART,
@@ -212,10 +199,7 @@ def cofiber_report(n: int, d: int, m: int, limit: int | None = None) -> dict:
     """Reduced cofiber homology, connecting rank, predictions, twist check."""
     if n < 0 or d < 1 or d > m:
         raise InvalidCell(f"invalid cell n={n} d={d} m={m}")
-    size = comb(m, d)
-    cap = cell_limit() if limit is None else limit
-    if size > cap:
-        raise CellTooLarge(f"basis size {size} exceeds limit {cap}")
+    _check_size(d, m, limit)
     sub_profile, delta = cofiber_homology(n, d, m)
     twisted = qn_homology(twisted_complex(n, d, m))
     return {
@@ -406,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (UsageError, InvalidCell, GridTooSmall, CellTooLarge) as exc:
+    except (UsageError, InvalidCell, GridTooSmall, CellTooLarge, CacheCorrupt) as exc:
         print(f"grqn: error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,11 +40,11 @@ def _split_ideal(full: GradedMap, grid: Grid) -> tuple[GradedMap, GradedMap]:
     return full.restrict(sel_sub), full.restrict(sel_quot)
 
 
-def _full_complex(n: int, d: int, m: int) -> GradedMap:
-    """The Grassmannian complex of a cofiber cell, which needs m - d >= 1."""
-    if m - d < 1:
-        raise GridTooSmall(f"cofiber needs m - d >= 1, got d={d} m={m}")
-    return schubert.lenart_qn_matrix(n, Grid(d, m - d))
+def _full_complex(n: int, grid: Grid) -> GradedMap:
+    """The Grassmannian complex of a cofiber cell, which needs codimension >= 1."""
+    if grid.c < 1:
+        raise GridTooSmall(f"cofiber needs codimension >= 1, got {grid}")
+    return schubert.lenart_qn_matrix(n, grid)
 
 
 def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
@@ -55,9 +55,7 @@ def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
     complementary span carries the complex of the one-step-smaller
     Grassmannian.
     """
-    if grid.c < 1:
-        raise GridTooSmall(f"cofiber needs codimension >= 1, got {grid}")
-    return _split_ideal(schubert.lenart_qn_matrix(n, grid), grid)
+    return _split_ideal(_full_complex(n, grid), grid)
 
 
 def twisted_complex(n: int, d: int, m: int) -> GradedMap:
@@ -88,8 +86,9 @@ def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:
     quotient.  The rank is recovered from exactness: twice the rank is the
     homology excess of the two pieces over the whole.
     """
-    full = _full_complex(n, d, m)
-    sub, quot = _split_ideal(full, Grid(d, m - d))
+    grid = Grid(d, m - d)
+    full = _full_complex(n, grid)
+    sub, quot = _split_ideal(full, grid)
     sub_profile = homology.qn_homology(sub)
     quot_total = homology.qn_homology(quot).total
     excess = sub_profile.total + quot_total - homology.qn_homology(full).total
@@ -104,7 +103,7 @@ def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:
     Checks on explicit representatives: every cocycle of the ideal
     subcomplex must be a coboundary of the full complex.
     """
-    full = _full_complex(n, d, m)
+    full = _full_complex(n, Grid(d, m - d))
     sel_sub, _ = _ideal_selection(d, m - d)
     sub = full.restrict(sel_sub)
     positions = {t: idx for t, idx in sel_sub.items() if idx}

@@ -6,6 +6,7 @@ so the largest table cells (10^8 and beyond) are exact.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import comb as _raw_comb
 
 
@@ -44,24 +45,21 @@ def _split_parity(n: int, m: int) -> tuple[int, int]:
     return eps, l2 // 2
 
 
+def _binomial_sum(top: int, k: int, l: int) -> int:
+    """sum_i C(top, k-2i) C(l, i), the shape of every closed form beyond collapse."""
+    return sum(_comb(top, k - 2 * i) * _comb(l, i) for i in range(k // 2 + 1))
+
+
 def _grassmannian_sum(n: int, d: int, m: int) -> int:
     """The conjectured total for Gr_d(R^m): sum_i C(2^(n+1)-eps, d-2i) C(l, i)."""
     eps, l = _split_parity(n, m)
-    top = 2 ** (n + 1) - eps
-    return sum(_comb(top, d - 2 * i) * _comb(l, i) for i in range(d // 2 + 1))
+    return _binomial_sum(2 ** (n + 1) - eps, d, l)
 
 
 def _cofiber_sum(n: int, d: int, m: int) -> int:
     """The conjectured reduced total for the inclusion cofiber of Gr_d(R^m)."""
     eps, l = _split_parity(n, m)
-    top = 2 ** (n + 1) - 1 - eps
-    return sum(_comb(top, d - 1 - 2 * i) * _comb(l, i) for i in range(d // 2 + 1))
-
-
-def _delta_sum(n: int, d: int, l: int) -> int:
-    """The connecting rank's binomial sum at m = 2^(n+1) - 1 + 2l, l > 0."""
-    top = 2 ** (n + 1) - 2
-    return sum(_comb(top, d - 1 - 2 * i) * _comb(l - 1, i) for i in range(d // 2 + 1))
+    return _binomial_sum(2 ** (n + 1) - 1 - eps, d - 1, l)
 
 
 def _check_cell(n: int, d: int, m: int) -> None:
@@ -69,21 +67,31 @@ def _check_cell(n: int, d: int, m: int) -> None:
         raise InvalidCell(f"invalid cell n={n} d={d} m={m}")
 
 
+def _collapse_or_sum(
+    n: int, d: int, m: int, collapsed: int, binomial_sum: Callable[[int, int, int], int]
+) -> int:
+    """``collapsed`` in the collapse range, ``binomial_sum(n, d, m)`` beyond it.
+
+    The sum needs ``m >= 2^(n+1) - 1``; on the two overlap values of ``m`` up
+    to ``2^(n+1)`` both expressions are evaluated and must agree.
+    """
+    collapse = 2 ** (n + 1)
+    if m < collapse - 1:
+        return collapsed
+    total = binomial_sum(n, d, m)
+    if m <= collapse and total != collapsed:
+        raise AssertionError(f"branch disagreement at n={n} d={d} m={m}")
+    return total
+
+
 def predicted_k(n: int, d: int, m: int) -> int:
     """Predicted total Q_n-homology dimension of Gr_d(R^m).
 
     For ``m <= 2^(n+1)`` the differential vanishes and the answer is C(m, d);
-    beyond that range the binomial sum applies.  On the two overlap values of
-    ``m`` both expressions are evaluated and must agree.
+    beyond that range the binomial sum applies.
     """
     _check_cell(n, d, m)
-    collapse = 2 ** (n + 1)
-    if m < collapse - 1:
-        return _comb(m, d)
-    total = _grassmannian_sum(n, d, m)
-    if m <= collapse and total != _comb(m, d):
-        raise AssertionError(f"branch disagreement at n={n} d={d} m={m}")
-    return total
+    return _collapse_or_sum(n, d, m, _comb(m, d), _grassmannian_sum)
 
 
 def predicted_cofiber_k(n: int, d: int, m: int) -> int:
@@ -91,13 +99,7 @@ def predicted_cofiber_k(n: int, d: int, m: int) -> int:
     _check_cell(n, d, m)
     if d < 1:
         raise InvalidCell(f"cofiber needs d >= 1, got d={d}")
-    collapse = 2 ** (n + 1)
-    if m < collapse - 1:
-        return _comb(m - 1, d - 1)
-    total = _cofiber_sum(n, d, m)
-    if m <= collapse and total != _comb(m - 1, d - 1):
-        raise AssertionError(f"branch disagreement at n={n} d={d} m={m}")
-    return total
+    return _collapse_or_sum(n, d, m, _comb(m - 1, d - 1), _cofiber_sum)
 
 
 def predicted_delta_rank(n: int, d: int, m: int) -> int:
@@ -110,7 +112,7 @@ def predicted_delta_rank(n: int, d: int, m: int) -> int:
     _check_cell(n, d, m)
     if m % 2 == 0 or m <= 2 ** (n + 1):
         return 0
-    return _delta_sum(n, d, (m - 2 ** (n + 1) + 1) // 2)
+    return _binomial_sum(2 ** (n + 1) - 2, d - 1, (m - 2 ** (n + 1) - 1) // 2)
 
 
 def lemma65_check(n: int, d: int, l: int) -> bool:
@@ -126,7 +128,7 @@ def lemma65_check(n: int, d: int, l: int) -> bool:
     lhs = _grassmannian_sum(n, d, m - 1) + _cofiber_sum(n, d, m) - _grassmannian_sum(n, d, m)
     if lhs % 2:
         return False
-    return lhs // 2 == _delta_sum(n, d, l)
+    return lhs // 2 == _binomial_sum(2 ** (n + 1) - 2, d - 1, l - 1)
 
 
 def projective_k(n: int, m: int) -> int:

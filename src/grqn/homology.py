@@ -2,7 +2,9 @@
 
 Matrices are stored per cohomological degree as tuples of column bitmasks
 packed into Python ints, so elimination works a full row of bits at a time.
-Degree blocks never get assembled into one big matrix.
+Degree blocks never get assembled into one big matrix.  This is the
+package's only GF(2) linear algebra: other modules take their column
+products and inverses from here.
 """
 
 from __future__ import annotations
@@ -57,6 +59,32 @@ def _kernel_basis(cols: Sequence[int]) -> list[int]:
     return kernel
 
 
+def column_product(cols: Sequence[int], mask: int) -> int:
+    """The image of the vector ``mask`` under the matrix with columns ``cols``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= cols[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def invert(cols: Sequence[int]) -> list[int]:
+    """Columns of the inverse of a square bit matrix given by its columns.
+
+    The kernel of ``[A | I]`` pairs each x with A x.  The columns of A come
+    first, so a singular A puts a kernel vector with no bit from I first;
+    otherwise kernel vector i comes from column i of I, and its low bits
+    are column i of the inverse.
+    """
+    size = len(cols)
+    kernel = _kernel_basis([*cols, *(1 << i for i in range(size))])
+    if kernel and not kernel[0] >> size:
+        raise RuntimeError("bit matrix is singular; basis change failed")
+    low = (1 << size) - 1
+    return [v & low for v in kernel]
+
+
 @dataclass
 class GradedMap:
     """A degree-raising square-zero map, one F_2 block per degree.
@@ -92,16 +120,8 @@ class GradedMap:
         """Check the differential law: the block at t+shift kills every image."""
         for t, cols in self.blocks.items():
             nxt = self.blocks.get(t + self.shift)
-            if not nxt:
-                continue
-            for col in cols:
-                out = 0
-                while col:
-                    low = col & -col
-                    out ^= nxt[low.bit_length() - 1]
-                    col ^= low
-                if out:
-                    return False
+            if nxt and any(column_product(nxt, col) for col in cols):
+                return False
         return True
 
     def restrict(self, selection: dict[int, list[int]]) -> "GradedMap":

@@ -16,12 +16,12 @@ so concurrent use cannot produce divergent results.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import steenrod
-from .homology import GradedMap
+from .homology import GradedMap, column_product, invert
 from .young import Partition, lenart_strips, partitions_in_grid
 
 
@@ -114,12 +114,7 @@ class _GridContext:
             t -= j
             out = cache.get(u)
         for v, j in reversed(peeled):
-            block = self.pieri_block(j, t)
-            mask, out = out, 0
-            while mask:
-                low = mask & -mask
-                out ^= block[low.bit_length() - 1]
-                mask ^= low
+            out = column_product(self.pieri_block(j, t), out)
             cache[v] = out
             t += j
         return out
@@ -151,28 +146,16 @@ class _GridContext:
         if cached is not None:
             return cached
         monos = self.monomials(t)
-        dim = len(self.basis[t])
-        if len(monos) != dim:
+        if len(monos) != len(self.basis[t]):
             raise RuntimeError(f"monomial/Schubert basis size mismatch at degree {t}")
-        inv = _invert_columns([self.convert(r, t) for r in monos], dim)
+        inv = invert([self.convert(r, t) for r in monos])
         self._inverse[t] = inv
         return inv
 
 
-_CONTEXTS: OrderedDict[Grid, _GridContext] = OrderedDict()
-_CONTEXT_CAP = 16
-
-
+@lru_cache(maxsize=16)
 def _context(grid: Grid) -> _GridContext:
-    ctx = _CONTEXTS.get(grid)
-    if ctx is None:
-        ctx = _GridContext(grid)
-        _CONTEXTS[grid] = ctx
-        while len(_CONTEXTS) > _CONTEXT_CAP:
-            _CONTEXTS.popitem(last=False)
-    else:
-        _CONTEXTS.move_to_end(grid)
-    return ctx
+    return _GridContext(grid)
 
 
 def schubert_basis(grid: Grid) -> dict[int, list[Partition]]:
@@ -226,39 +209,6 @@ def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:
     return GradedMap(shift, spaces, blocks)
 
 
-def _invert_columns(cols: list[int], size: int) -> list[int]:
-    """Columns of the inverse of a square bit matrix given by columns."""
-    rows = []
-    for i in range(size):
-        row = 0
-        for j, col in enumerate(cols):
-            if col >> i & 1:
-                row |= 1 << j
-        rows.append(row | 1 << (size + i))
-    r = 0
-    for col in range(size):
-        sel = None
-        for i in range(r, size):
-            if rows[i] >> col & 1:
-                sel = i
-                break
-        if sel is None:
-            raise RuntimeError("bit matrix is singular; basis change failed")
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(size):
-            if i != r and rows[i] >> col & 1:
-                rows[i] ^= rows[r]
-        r += 1
-    inv_cols = [0] * size
-    for i in range(size):
-        hi = rows[i] >> size
-        while hi:
-            low = hi & -hi
-            inv_cols[low.bit_length() - 1] |= 1 << i
-            hi ^= low
-    return inv_cols
-
-
 def free_operator_matrix(
     grid: Grid, shift: int, image: Callable[[int], Iterable[int]]
 ) -> GradedMap:
@@ -280,15 +230,7 @@ def free_operator_matrix(
             for u in image(r):
                 out ^= ctx.convert(u, s)
             c_cols.append(out)
-        cols = []
-        for x in ctx.inverse(t):
-            col = 0
-            while x:
-                low = x & -x
-                col ^= c_cols[low.bit_length() - 1]
-                x ^= low
-            cols.append(col)
-        blocks[t] = tuple(cols)
+        blocks[t] = tuple(column_product(c_cols, x) for x in ctx.inverse(t))
     return GradedMap(shift, spaces, blocks)
 
 

@@ -41,9 +41,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def degrees(self) -> set[int]:
-        return {monomial_degree(r) for r in self.terms}
-
 
 def monomial_degree(r: Monomial) -> int:
     return sum((i + 1) * e for i, e in enumerate(r))

@@ -110,6 +110,20 @@ def test_record_json_field_order_and_roundtrip():
         "elapsed_ms",
     ]
     assert ResultRecord.from_dict(parsed) == rec
+    assert ResultRecord.from_dict({**parsed, "extra": 1}) == rec
+    del parsed["method"]
+    with pytest.raises(KeyError):
+        ResultRecord.from_dict(parsed)
+
+
+def test_record_with_unknown_status_is_unreadable(tmp_path):
+    raw = json.loads(compute_cell(1, 1, 2).to_json())
+    raw["status"] = "Bogus"
+    with pytest.raises(ValueError, match="Bogus"):
+        ResultRecord.from_dict(raw)
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps(raw))  # a last line with no line break is a torn write
+    assert load_cache(str(cache)) == {}
 
 
 def test_json_stable_apart_from_timing():
@@ -284,6 +298,21 @@ def test_main_verify_zero_jobs_is_an_error(tmp_path, capsys):
     argv = ["verify", "--n", "1", "--d", "1..2", "--c", "1..2", "--jobs", "0"]
     assert_clean_error(capsys, main([*argv, "--cache", str(cache)]))
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("damage", ["drop per_degree", "unknown status"])
+def test_main_verify_unreadable_cache_is_an_error(tmp_path, capsys, damage):
+    good = compute_cell(1, 1, 2).to_json()
+    bad = json.loads(good)
+    if damage == "drop per_degree":
+        del bad["per_degree"]
+    else:
+        bad["status"] = "Bogus"
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(json.dumps(bad) + "\n" + good + "\n")
+    code = main(["verify", "--n", "1", "--d", "1", "--c", "1..2", "--cache", str(cache)])
+    assert code == 2
+    assert_clean_error(capsys, code)
 
 
 class RecordingPool:

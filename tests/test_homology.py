@@ -12,7 +12,15 @@ from grqn.cofiber import (
     ideal_subcomplex,
     twisted_complex,
 )
-from grqn.homology import GradedMap, HomologyProfile, NotADifferential, qn_homology
+from grqn.homology import (
+    GradedMap,
+    HomologyProfile,
+    NotADifferential,
+    _echelon,
+    column_product,
+    invert,
+    qn_homology,
+)
 from grqn.schubert import Grid, lenart_qn_matrix, schubert_basis
 from oracles import rank
 
@@ -43,6 +51,24 @@ def test_rank_random_against_permanent_pivoting():
                     work[i] = [(a + b) % 2 for a, b in zip(work[i], work[r])]
             r += 1
         assert rank(m) == r
+
+
+def test_invert_rejects_a_singular_matrix():
+    for cols in ([0b1, 0b1], [0b011, 0b110, 0b101], [0b10, 0]):
+        with pytest.raises(RuntimeError, match="singular"):
+            invert(cols)
+
+
+def test_invert_random_invertible_matrices():
+    rng = random.Random(61)
+    for size in range(41):
+        cols = [rng.getrandbits(size) for _ in range(size)]
+        while len(_echelon(cols)) < size:
+            cols = [rng.getrandbits(size) for _ in range(size)]
+        inv = invert(cols)
+        identity = [1 << i for i in range(size)]
+        assert [column_product(cols, x) for x in inv] == identity
+        assert [column_product(inv, x) for x in cols] == identity
 
 
 def test_qn_homology_known_cells():

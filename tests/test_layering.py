@@ -68,3 +68,27 @@ def test_no_call_time_or_type_checking_imports():
 
 def test_homology_imports_nothing_from_the_package():
     assert import_graph()["homology"] == set()
+
+
+def lowest_set_bit_lines(path):
+    """Lines using ``x & -x``, the lowest-set-bit step of a column walk."""
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                if (
+                    isinstance(b, ast.UnaryOp)
+                    and isinstance(b.op, ast.USub)
+                    and ast.dump(b.operand) == ast.dump(a)
+                ):
+                    yield node.lineno
+
+
+def test_only_homology_walks_the_bits_of_a_column():
+    assert list(lowest_set_bit_lines(MODULES["homology"]))  # the walk finds the idiom at all
+    found = [
+        f"{name}.py:{line}"
+        for name, path in MODULES.items()
+        if name != "homology"
+        for line in lowest_set_bit_lines(path)
+    ]
+    assert not found, f"GF(2) column arithmetic outside homology: {found}"
