@@ -18,6 +18,6 @@ from .formulas import (
 from .homology import GradedMap, HomologyProfile, qn_homology
 from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
 from .steenrod import Polynomial, dual_class, milnor_q, multiply, s_class, sq
-from .young import Partition, lenart_strips, partitions_in_grid
+from .young import lenart_strips, partitions_in_grid
 
 __version__ = "0.1.0"

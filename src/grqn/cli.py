@@ -418,12 +418,21 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
         summary = verify_sweep(args.n, args.d, args.c, jobs=args.jobs, cache_path=args.cache)
         out.write(json.dumps(summary) + "\n")
+        if not any(v for key, v in summary.items() if key != "skipped"):
+            # every cell in range is over the size limit and none was cached
+            print("grqn: nothing verified: every cell is over the size limit", file=sys.stderr)
+            return 1
         ok = summary["mismatch"] == 0 and summary["lower_bound_violations"] == 0
         return 0 if ok else 1
     if args.command == "cofiber":
         report = cofiber_report(args.n, args.d, args.m)
         out.write(json.dumps(report) + "\n")
-        return 0
+        ok = (
+            report["twisted_match"]
+            and report["cofiber_total"] == report["predicted_cofiber"]
+            and report["connecting_rank"] == report["predicted_delta_rank"]
+        )
+        return 0 if ok else 1
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -25,12 +25,12 @@ class ParityViolation(RuntimeError):
 
 def _ideal_selection(d: int, c: int) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
     """Per-degree positions of the top-column ideal basis and its complement."""
-    basis = schubert.schubert_basis(Grid(d, c))
+    top = d + c - 1  # a full first row puts its bead in the top slot
     sub: dict[int, list[int]] = {}
     quot: dict[int, list[int]] = {}
-    for t, lams in basis.items():
-        sub[t] = [i for i, lam in enumerate(lams) if lam and lam[0] == c]
-        quot[t] = [i for i, lam in enumerate(lams) if not lam or lam[0] < c]
+    for t, words in schubert.schubert_basis(Grid(d, c)).items():
+        sub[t] = [i for i, w in enumerate(words) if w >> top & 1]
+        quot[t] = [i for i, w in enumerate(words) if not w >> top & 1]
     return sub, quot
 
 

@@ -6,12 +6,13 @@ and the Wu/commutator derivation computed in Stiefel-Whitney monomials and
 conjugated into the Schubert basis.  Their bit-for-bit agreement is the
 project's main cross-check.
 
-Inside this module a monomial w_1^(r_1)..w_d^(r_d) is a packed int: r_j sits
-in slot j - 1 of a grid-wide slot width, so a product within the top degree
-is a sum of ints.  Per-grid state (basis tables, multiplication blocks, the
-conversion cache and each degree's inverse basis change) is kept in a small
-LRU of immutable-once-built contexts; all cached values are deterministic,
-so concurrent use cannot produce divergent results.
+A Schubert class is the bead word of its partition (see ``young``), and a
+monomial w_1^(r_1)..w_d^(r_d) is a packed int: r_j sits in slot j - 1 of a
+grid-wide slot width, so a product within the top degree is a sum of ints.
+Per-grid state (basis tables, multiplication blocks, the conversion cache
+and each degree's inverse basis change) is kept in a small LRU of
+immutable-once-built contexts; all cached values are deterministic, so
+concurrent use cannot produce divergent results.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 from . import steenrod
 from .homology import GradedMap, column_product, invert
-from .young import Partition, lenart_strips, partitions_in_grid
+from .young import lenart_strips, partitions_in_grid, vertical_strips
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,8 @@ class _GridContext:
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
         self.slot = max(1, grid.top_degree.bit_length())
-        self.basis: dict[int, list[Partition]] = {}
-        self.index: dict[int, dict[Partition, int]] = {}
-        for lam in partitions_in_grid(grid.d, grid.c):
-            t = sum(lam)
-            self.basis.setdefault(t, []).append(lam)
-        for t, lams in self.basis.items():
-            self.index[t] = {lam: i for i, lam in enumerate(lams)}
+        self.basis = partitions_in_grid(grid.d, grid.c)
+        self.index = {t: {w: i for i, w in enumerate(words)} for t, words in self.basis.items()}
         self._pieri: dict[tuple[int, int], tuple[int, ...]] = {}
         self._convert: dict[int, int] = {0: 1}
         self._monomials: dict[int, list[int]] = {}
@@ -81,14 +77,11 @@ class _GridContext:
         cached = self._pieri.get(key)
         if cached is not None:
             return cached
-        target = self.index.get(t + j, {})
-        cols = []
-        for lam in self.basis.get(t, []):
-            mask = 0
-            for mu in _vertical_strips(lam, j, self.grid.d, self.grid.c):
-                mask |= 1 << target[mu]
-            cols.append(mask)
-        block = tuple(cols)
+        target, m = self.index.get(t + j, {}), self.grid.m
+        block = tuple(
+            sum(1 << target[mu] for mu in vertical_strips(word, j, m))
+            for word in self.basis.get(t, [])
+        )
         self._pieri[key] = block
         return block
 
@@ -158,37 +151,9 @@ def _context(grid: Grid) -> _GridContext:
     return _GridContext(grid)
 
 
-def schubert_basis(grid: Grid) -> dict[int, list[Partition]]:
-    """Grid partitions grouped by degree, in the canonical basis order."""
+def schubert_basis(grid: Grid) -> dict[int, list[int]]:
+    """Bead words of the grid's partitions by degree, in the canonical basis order."""
     return _context(grid).basis
-
-
-def _vertical_strips(lam: Partition, j: int, d: int, c: int) -> list[Partition]:
-    """Partitions obtained from lam by adding j boxes, at most one per row."""
-    base = list(lam) + [0] * (d - len(lam))
-    out: list[Partition] = []
-    mu = [0] * d
-
-    def rec(i: int, rem: int) -> None:
-        if rem > d - i:
-            return
-        if i == d:
-            k = d
-            while k and mu[k - 1] == 0:
-                k -= 1
-            out.append(tuple(mu[:k]))
-            return
-        hi = c if i == 0 else mu[i - 1]
-        mu[i] = base[i]
-        if base[i] + 1 <= hi and rem:
-            mu[i] = base[i] + 1
-            rec(i + 1, rem - 1)
-            mu[i] = base[i]
-        rec(i + 1, rem)
-
-    if d:
-        rec(0, j)
-    return out
 
 
 def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:
@@ -196,15 +161,15 @@ def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:
     if n < 0:
         raise ValueError(f"primitive index must be nonnegative, got {n}")
     shift = 2 ** (n + 1) - 1
-    d, c = grid.d, grid.c
+    d, m = grid.d, grid.m
     ctx = _context(grid)
-    spaces = {t: len(lams) for t, lams in ctx.basis.items()}
+    spaces = {t: len(words) for t, words in ctx.basis.items()}
     blocks: dict[int, tuple[int, ...]] = {}
     for t in range(grid.top_degree - shift + 1):
         target = ctx.index[t + shift]
         blocks[t] = tuple(
-            sum(1 << target[mu] for mu in lenart_strips(lam, shift, d, c))
-            for lam in ctx.basis[t]
+            sum(1 << target[mu] for mu in lenart_strips(word, shift, d, m))
+            for word in ctx.basis[t]
         )
     return GradedMap(shift, spaces, blocks)
 
@@ -220,7 +185,7 @@ def free_operator_matrix(
     through the grid's basis change, inverted once per degree and kept.
     """
     ctx = _context(grid)
-    spaces = {t: len(lams) for t, lams in ctx.basis.items()}
+    spaces = {t: len(words) for t, words in ctx.basis.items()}
     blocks: dict[int, tuple[int, ...]] = {}
     for t in range(grid.top_degree - shift + 1):
         s = t + shift

@@ -1,92 +1,114 @@
-"""Partition combinatorics for the border-strip calculus.
+"""Schubert classes as bead words, and the strip rules on them.
 
-Partitions are plain tuples of weakly decreasing positive integers.
-Everything is a pure value, safe to share between workers.
+A partition lam in the d x c grid is an m-bit int, m = d + c, with one bead
+per row: row i (from 0, lam padded to d rows) puts its bead at bit
+lam_i + d - 1 - i.  This is the Maya diagram of lam (Macdonald, *Symmetric
+Functions and Hall Polynomials*, I.1 Ex. 8): adding one box to row i moves
+its bead up one slot, and adding a ribbon of k boxes moves one bead up k
+slots.  Words with the same weight compare as integers the way their
+partitions compare lexicographically.  Everything is a pure value, safe to
+share between workers.
 """
 
 from __future__ import annotations
 
-Partition = tuple[int, ...]
 
+def partitions_in_grid(d: int, c: int) -> dict[int, list[int]]:
+    """Bead words of the partitions with at most d parts, each at most c.
 
-def partitions_in_grid(d: int, c: int) -> list[Partition]:
-    """All partitions with at most d parts, each at most c.
-
-    Graded by weight, lexicographically descending within a weight; the list
-    has length C(d + c, d).  One depth-first pass tries each row's values
-    from largest to smallest, which visits the partitions in descending
-    lexicographic order; each goes to the bucket for its weight.
+    Keyed by weight 0..dc, each list descending, which is descending
+    lexicographic order on the partitions; C(d + c, d) words in all.  One
+    depth-first pass places the beads from the top row down, each from its
+    highest free slot to its lowest, so the words of each weight arrive in
+    order.  A row left empty leaves every row below it empty too.
     """
     if d < 0 or c < 0:
         raise ValueError(f"grid sides must be nonnegative: {d}x{c}")
-    buckets: list[list[Partition]] = [[] for _ in range(d * c + 1)]
+    buckets: dict[int, list[int]] = {t: [] for t in range(d * c + 1)}
 
-    def rec(prefix: Partition, weight: int, cap: int) -> None:
-        if len(prefix) < d:
-            for v in range(cap, 0, -1):
-                rec(prefix + (v,), weight + v, v)
-        buckets[weight].append(prefix)  # after every extension: a zero row sorts last
+    def rec(rows: int, hi: int, w: int, weight: int) -> None:
+        # rows beads are left to place below slot hi: this row's part is
+        # p - rows + 1 >= 1, or 0, which puts this row and all below at the bottom
+        if rows:
+            for p in range(hi - 1, rows - 1, -1):
+                rec(rows - 1, p, w | 1 << p, weight + p - rows + 1)
+        buckets[weight].append(w | (1 << rows) - 1)
 
-    rec((), 0, c)
-    return [lam for bucket in buckets for lam in bucket]
+    rec(d, d + c, 0, 0)
+    return buckets
 
 
-def lenart_strips(lam: Partition, k: int, d: int, c: int) -> list[Partition]:
-    """Grid partitions mu with k more boxes than lam and odd strip coefficient.
+def _bits(x: int):
+    """Positions of the set bits of x, highest first."""
+    while x:
+        p = x.bit_length() - 1
+        yield p
+        x ^= 1 << p
 
-    The mod-2 border-strip coefficient of s_mu in the image of s_lam is zero
-    unless mu/lam is a broken border strip with one or two ribbons (edge-
-    connected components); it is one for two ribbons, and for one ribbon the
-    parity of the contents of its sharp and dull corners.  So the walk places
-    whole ribbons, top to bottom, and emits nothing else.
 
-    With rows numbered from 0 and lam padded to d rows: a ribbon on rows
-    a..b has mu_i = lam_{i-1} + 1 on each row below a (one more box would
-    make a 2x2 block, one fewer would break it), so its size s fixes its top
-    row at mu_a = s + lam_b - (b - a).  That top must exceed lam_a and stay
-    at most lam_{a-1} (c on row 0): further right it would touch or overhang
-    the row above.  Only rows where lam has an addable box can start one.
-    Below row a each pair of consecutive rows adds corner contents of
-    parity lam_{i-1} + lam_i, which telescopes, so a single ribbon's
-    coefficient is lam_b + a mod 2.  ``lam`` must fit the d x c grid; each
-    mu is listed once, in no particular order.
+def vertical_strips(w: int, j: int, m: int) -> list[int]:
+    """Words of the partitions made from w by adding j >= 1 boxes, at most one per row.
+
+    Each run of consecutive beads whose next slot ``top`` is empty (and
+    inside the word) can move its top s beads up one slot, which moves bit
+    top - s to bit top.  The walk takes the runs from the highest down and
+    keeps only the choices that the runs below have room to complete; the
+    lowest run takes what is left.
     """
-    base = lam + (0,) * (d - len(lam))
-    step = tuple(p + 1 for p in base)
-    starts: list[tuple[int, int, int]] = []
-    # room[j]: the largest ribbon that can start on row j or below
-    room = [0] * (d + 1)
-    for a in range(d - 1, -1, -1):
-        cap = base[a - 1] if a else c
-        room[a] = room[a + 1]
-        if cap > base[a]:
-            starts.append((a, base[a], cap))
-            room[a] = max(room[a], cap - base[-1] + d - 1 - a)
-    starts.reverse()
-    out: list[Partition] = []
-    for i, (a1, lo1, cap1) in enumerate(starts):
-        if cap1 - base[-1] + d - 1 - a1 + room[a1 + 1] < k:
-            continue  # the rows from a1 down cannot hold k boxes
-        head = base[:a1]
-        for b1 in range(a1, d):
-            off1 = base[b1] - b1 + a1
-            if lo1 - off1 >= k:
+    runs = [
+        (top, top - (~w & (1 << top) - 1).bit_length())
+        for top in _bits(w << 1 & ~w & (1 << m) - 1)
+    ]
+    room = sum(r for _, r in runs)
+    if room < j:
+        return []
+    last, _ = runs.pop()
+    words = [(w, j)]
+    for top, r in runs:
+        room -= r
+        words = [
+            (v ^ (1 << top ^ 1 << top - s), rem - s)
+            for v, rem in words
+            for s in range(max(0, rem - room), min(r, rem) + 1)
+        ]
+    return [v ^ (1 << last ^ 1 << last - rem) for v, rem in words]
+
+
+def lenart_strips(w: int, k: int, d: int, m: int) -> list[int]:
+    """Grid words mu with k more boxes than w and odd strip coefficient.
+
+    With w the word of lam, the mod-2 border-strip coefficient of s_mu in
+    the image of s_lam is zero unless mu/lam is a broken border strip with
+    one or two ribbons (edge-connected components); it is one for two
+    ribbons, and for one ribbon the parity of the contents of its sharp and
+    dull corners.  In bead words:
+
+    * one ribbon moves a bead p to an empty slot p + k < m; with h beads
+      strictly between them, its coefficient is p + d + 1 + h mod 2 (for a
+      ribbon on rows a..b this is lam_b + a, the telescoped corner sum);
+    * two ribbons move beads p1 < p2 up k1 + k2 = k slots, k1, k2 >= 1, to
+      empty slots p1 + k1 < p2 and p2 + k2 < m.
+
+    Each mu is listed once, in no particular order.
+    """
+    if k >= m:
+        return []
+    # moves[s]: the beads whose slot s higher is empty and inside the word
+    moves = [w & ~(w >> s) & (1 << m - s) - 1 for s in range(k + 1)]
+    between = (1 << k - 1) - 1
+    out = [
+        w ^ (1 << p | 1 << p + k)
+        for p in _bits(moves[k])
+        if p + d + 1 + (w >> p + 1 & between).bit_count() & 1
+    ]
+    for k1 in range(1, k):
+        lower, k2 = moves[k1], k - k1
+        if not lower:
+            continue
+        for p2 in _bits(moves[k2]):
+            if p2 <= k1:
                 break
-            top = k + off1
-            if top <= cap1 and (base[b1] + a1) & 1:
-                out.append(head + (top,) + step[a1:b1] + lam[b1 + 1 :])
-            # second ribbon below: its size k - s1 must fit in room[b1 + 1]
-            for top1 in range(max(lo1 + 1, top - room[b1 + 1]), min(cap1, top - 1) + 1):
-                rem = top - top1
-                first = head + (top1,) + step[a1:b1]
-                for a2, lo2, cap2 in starts[i + 1 :]:
-                    if a2 <= b1:
-                        continue
-                    mid = first + base[b1 + 1 : a2]
-                    for b2 in range(a2, d):
-                        top2 = rem + base[b2] - b2 + a2
-                        if top2 <= lo2:
-                            break
-                        if top2 <= cap2:
-                            out.append(mid + (top2,) + step[a2:b2] + lam[b2 + 1 :])
+            upper = w ^ (1 << p2 | 1 << p2 + k2)
+            for p1 in _bits(lower & (1 << p2 - k1) - 1):
+                out.append(upper ^ (1 << p1 | 1 << p1 + k1))
     return out

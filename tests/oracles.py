@@ -4,7 +4,9 @@ The strip rule here is the generate-and-filter form: every grid partition
 above lam at the right distance, each tested span by span.  The library's
 ``lenart_strips`` walks the odd-coefficient strips directly instead.  The
 skew-shape layer, the dense rank and the total square serve only as
-oracles and test helpers; the library itself works on bit-packed vectors.
+oracles and test helpers; the library itself works on bit-packed vectors
+and on bead words, and ``word``/``partition`` translate between a bead
+word and the partition tuple the oracles use.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import Sequence
 from grqn.homology import _echelon
 from grqn.schubert import Grid, _context
 from grqn.steenrod import Polynomial, monomial_degree, sq
-from grqn.young import Partition
+from grqn.young import partitions_in_grid
 
+Partition = tuple[int, ...]
 Cell = tuple[int, int]
 
 SHARP = "sharp"
@@ -30,6 +33,32 @@ class NotContained(ValueError):
 
 class InvalidStrip(ValueError):
     """Raised when corner extraction is asked of a shape with a 2x2 block."""
+
+
+# --- bead words and partitions ------------------------------------------------
+
+
+def word(lam: Partition, d: int) -> int:
+    """The bead word of lam in a grid of d rows: row i's bead at bit lam_i + d - 1 - i."""
+    padded = tuple(lam) + (0,) * (d - len(lam))
+    return sum(1 << padded[i] + d - 1 - i for i in range(d))
+
+
+def partition(w: int, d: int) -> Partition:
+    """The partition whose bead word in a grid of d rows is w."""
+    beads = [p for p in range(w.bit_length() - 1, -1, -1) if w >> p & 1]
+    assert len(beads) == d, (w, d)
+    return tuple(p - (d - 1 - i) for i, p in enumerate(beads) if p > d - 1 - i)
+
+
+def conjugate(w: int, m: int) -> int:
+    """The bead word of the conjugate partition: the m bits reversed and complemented."""
+    return sum(1 << m - 1 - p for p in range(m) if not w >> p & 1)
+
+
+def grid_partitions(d: int, c: int) -> list[Partition]:
+    """The grid's partitions as tuples, in the library's basis order."""
+    return [partition(w, d) for words in partitions_in_grid(d, c).values() for w in words]
 
 
 # --- partitions and skew shapes ----------------------------------------------
@@ -242,19 +271,19 @@ def filtered_strips(lam: Partition, k: int, d: int, c: int) -> list[Partition]:
 # --- bit-packed vectors read back as sets --------------------------------------
 
 
-def decode(mask: int, basis: Sequence[Partition]) -> set[Partition]:
-    """The partitions whose positions in ``basis`` are set in ``mask``."""
-    return {lam for k, lam in enumerate(basis) if mask >> k & 1}
+def decode(mask: int, basis: Sequence[int]) -> set[int]:
+    """The words whose positions in ``basis`` are set in ``mask``."""
+    return {w for k, w in enumerate(basis) if mask >> k & 1}
 
 
 def schubert_support(p: Polynomial, grid: Grid) -> set[Partition]:
     """The Schubert classes of p's image in the grid's quotient ring."""
     ctx = _context(grid)
-    out: set[Partition] = set()
+    out: set[int] = set()
     for r in p.terms:
         t = monomial_degree(r)
         out ^= decode(ctx.convert(ctx.pack(r), t), ctx.basis.get(t, []))
-    return out
+    return {partition(w, grid.d) for w in out}
 
 
 # --- dense linear algebra and the total square -----------------------------------

@@ -22,7 +22,9 @@ from grqn.cli import (
     verify_sweep,
     _parse_range,
 )
+from grqn.cofiber import twisted_complex
 from grqn.formulas import InvalidCell
+from grqn.homology import GradedMap
 
 GOLDEN_2X2 = (
     "d,c,value,status,method\n"
@@ -263,6 +265,59 @@ def test_main_cofiber(capsys):
     assert rep["cofiber_total"] == 5
     assert rep["predicted_cofiber"] == 5
     assert rep["twisted_match"] is True
+
+
+def zero_differential(n, d, m):
+    twisted = twisted_complex(n, d, m)
+    return GradedMap(twisted.shift, twisted.spaces)
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("twisted_complex", zero_differential),
+        ("predicted_cofiber_k", lambda n, d, m: 0),
+        ("predicted_delta_rank", lambda n, d, m: 0),
+    ],
+)
+def test_main_cofiber_exits_1_when_a_check_fails(monkeypatch, capsys, name, wrong):
+    argv = ["cofiber", "--n", "1", "--d", "2", "--m", "5"]
+    assert main(argv) == 0
+    good = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, name, wrong)
+    assert main(argv) == 1
+    bad = json.loads(capsys.readouterr().out)
+    assert list(bad) == list(good)
+    assert [key for key in good if bad[key] != good[key]] == [
+        {
+            "twisted_complex": "twisted_match",
+            "predicted_cofiber_k": "predicted_cofiber",
+            "predicted_delta_rank": "predicted_delta_rank",
+        }[name]
+    ]
+
+
+def test_main_verify_with_every_cell_too_large_exits_1(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "c.jsonl"
+    argv = ["verify", "--n", "1", "--d", "1..2", "--c", "1..2", "--cache", str(cache)]
+    monkeypatch.setenv("GRQN_CELL_LIMIT", "1")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "proven": 0,
+        "conjecture_match": 0,
+        "mismatch": 0,
+        "skipped": 4,
+        "lower_bound_violations": 0,
+    }
+    assert captured.err.startswith("grqn: nothing verified")
+    assert captured.err.count("\n") == 1
+    assert cache.read_text() == ""
+    monkeypatch.delenv("GRQN_CELL_LIMIT")
+    assert main(argv) == 0
+    monkeypatch.setenv("GRQN_CELL_LIMIT", "1")
+    assert main(argv) == 0  # all four cached: verified from the cache
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["skipped"] == 4
 
 
 def assert_clean_error(capsys, code):

@@ -92,3 +92,53 @@ def test_only_homology_walks_the_bits_of_a_column():
         for line in lowest_set_bit_lines(path)
     ]
     assert not found, f"GF(2) column arithmetic outside homology: {found}"
+
+
+def references(tree, name):
+    """Nodes that read ``name`` as a variable or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == name:
+            yield node
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            yield node
+
+
+def enclosing(node):
+    """Dotted name of the classes and functions around a node."""
+    names = []
+    up = node.parent
+    while not isinstance(up, ast.Module):
+        if isinstance(up, (ast.FunctionDef, ast.ClassDef)):
+            names.append(up.name)
+        up = up.parent
+    return ".".join(reversed(names))
+
+
+WU_ROUTE = {
+    "schubert": {
+        "_GridContext",
+        "free_operator_matrix",
+        "derivation_image",
+        "derivation_qn_matrix",
+    },
+    "cofiber": {"twisted_complex"},
+}
+
+
+def test_only_the_lenart_route_walks_ribbons():
+    # The two routes are the cross-check of each other, so the Wu route must
+    # never reach the ribbon walk.
+    found = {
+        f"{name}.{enclosing(node)}"
+        for name, path in MODULES.items()
+        for node in references(parsed(path), "lenart_strips")
+    }
+    assert found == {"schubert.lenart_qn_matrix"}
+    for name, defs in WU_ROUTE.items():
+        seen = set()
+        for node in ast.walk(parsed(MODULES[name])):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in defs:
+                seen.add(node.name)
+                for target in ("lenart_strips", "lenart_qn_matrix"):
+                    assert not list(references(node, target)), f"{name}.{node.name} uses {target}"
+        assert seen == defs

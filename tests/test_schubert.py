@@ -17,8 +17,15 @@ from grqn.schubert import (
     schubert_basis,
 )
 from grqn.steenrod import dual_class, generator, monomial_degree
-from grqn.young import partitions_in_grid
-from oracles import decode, schubert_support, transpose
+from oracles import (
+    conjugate,
+    decode,
+    grid_partitions,
+    partition,
+    schubert_support,
+    transpose,
+    word,
+)
 
 
 # --- oracle: Schur polynomials from semistandard tableaux -------------------
@@ -90,15 +97,16 @@ def pieri(grid, lam, j):
     """Schubert classes of s_lam * w_j, read off the bit-packed Pieri block."""
     ctx = _context(grid)
     t = sum(lam)
-    col = ctx.pieri_block(j, t)[ctx.index[t][lam]]
-    return decode(col, ctx.basis.get(t + j, []))
+    col = ctx.pieri_block(j, t)[ctx.index[t][word(lam, grid.d)]]
+    return {partition(w, grid.d) for w in decode(col, ctx.basis.get(t + j, []))}
 
 
 def convert(grid, r):
     """Schubert classes of the monomial w^r, read off the bit-packed conversion."""
     ctx = _context(grid)
     t = monomial_degree(r)
-    return decode(ctx.convert(pack(grid, r), t), ctx.basis.get(t, []))
+    mask = ctx.convert(pack(grid, r), t)
+    return {partition(w, grid.d) for w in decode(mask, ctx.basis.get(t, []))}
 
 
 def test_pieri_unit_action():
@@ -119,7 +127,7 @@ def test_pieri_matches_schur_oracle():
         d = rng.choice((2, 3))
         c = rng.choice((2, 3))
         g = Grid(d, c)
-        pool = [p for p in partitions_in_grid(d, c) if sum(p) <= 4]
+        pool = [p for p in grid_partitions(d, c) if sum(p) <= 4]
         lam = rng.choice(pool)
         i = rng.randrange(1, d + 1)
         got = pieri(g, lam, i)
@@ -204,7 +212,7 @@ def test_lenart_matrix_worked_column():
     gm = lenart_qn_matrix(1, Grid(2, 4))
     basis1 = schubert_basis(Grid(2, 4))[4]
     col = gm.block(1)[0]
-    support = {basis1[k] for k in range(len(basis1)) if col >> k & 1}
+    support = {partition(basis1[k], 2) for k in range(len(basis1)) if col >> k & 1}
     assert support == {(4,), (3, 1)}
 
 
@@ -278,8 +286,25 @@ def test_lenart_matrix_commutes_with_conjugation():
                 basis_a, basis_b = schubert_basis(Grid(d, c)), schubert_basis(Grid(c, d))
                 for t, cols in a.blocks.items():
                     image_b = dict(zip(basis_b[t], b.block(t)))
-                    for lam, col in zip(basis_a[t], cols):
-                        got = decode(image_b[transpose(lam)], basis_b[t + a.shift])
-                        assert got == {transpose(mu) for mu in decode(col, basis_a[t + a.shift])}
+                    for w, col in zip(basis_a[t], cols):
+                        lam = partition(w, d)
+                        got = decode(image_b[word(transpose(lam), c)], basis_b[t + a.shift])
+                        assert {partition(x, c) for x in got} == {
+                            transpose(partition(mu, d)) for mu in decode(col, basis_a[t + a.shift])
+                        }
                         columns += 1
     assert columns == 2297
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 7), st.integers(0, 7))
+def test_lenart_matrix_commutes_with_conjugation_property(n, d, c):
+    # The same symmetry on bead words: conjugation reverses and complements them.
+    m = d + c
+    a, b = lenart_qn_matrix(n, Grid(d, c)), lenart_qn_matrix(n, Grid(c, d))
+    basis_a, basis_b = schubert_basis(Grid(d, c)), schubert_basis(Grid(c, d))
+    for t, cols in a.blocks.items():
+        image_b = dict(zip(basis_b[t], b.block(t)))
+        for w, col in zip(basis_a[t], cols):
+            got = decode(image_b[conjugate(w, m)], basis_b[t + a.shift])
+            assert got == {conjugate(mu, m) for mu in decode(col, basis_a[t + a.shift])}

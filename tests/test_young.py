@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grqn.young import lenart_strips, partitions_in_grid
+from grqn.young import lenart_strips, partitions_in_grid, vertical_strips
 from oracles import (
     DULL,
     SHARP,
@@ -16,12 +16,17 @@ from oracles import (
     StripClass,
     _extensions,
     classify_strip,
+    conjugate,
     content,
     corners,
     covers_at_distance,
     filtered_strips,
+    grid_partitions,
     lenart_coefficient,
+    partition,
     skew,
+    transpose,
+    word,
 )
 
 
@@ -65,7 +70,7 @@ def brute_corners(cells):
 
 
 def random_skew(rng, d=5, c=6):
-    grid = partitions_in_grid(d, c)
+    grid = grid_partitions(d, c)
     while True:
         outer = rng.choice(grid)
         inner = rng.choice(grid)
@@ -76,18 +81,34 @@ def random_skew(rng, d=5, c=6):
 
 
 def test_partitions_in_grid_2x2_exact_order():
-    assert partitions_in_grid(2, 2) == [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
+    assert grid_partitions(2, 2) == [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
+    assert partitions_in_grid(2, 2) == {
+        0: [0b0011], 1: [0b0101], 2: [0b1001, 0b0110], 3: [0b1010], 4: [0b1100]
+    }
 
 
 def test_partitions_in_grid_degenerate_and_counts():
-    assert partitions_in_grid(0, 5) == [()]
-    assert len(partitions_in_grid(2, 4)) == 15
+    assert grid_partitions(0, 5) == [()]
+    assert len(grid_partitions(2, 4)) == 15
     for d in range(9):
         for c in range(9):
-            got = partitions_in_grid(d, c)
+            got = grid_partitions(d, c)
             assert len(got) == comb(d + c, d)
             expected = [mu for t in range(d * c + 1) for mu in _extensions((), t, d, c)]
             assert got == expected, (d, c)
+            for t, words in partitions_in_grid(d, c).items():
+                assert words == sorted(words, reverse=True), (d, c, t)
+                for w in words:
+                    assert w < 1 << d + c and sum(partition(w, d)) == t
+                    assert word(partition(w, d), d) == w
+
+
+def test_conjugation_reverses_and_complements_the_word():
+    # lam -> lam' takes the d x c grid to the c x d grid.
+    for d in range(7):
+        for c in range(7):
+            for lam in grid_partitions(d, c):
+                assert partition(conjugate(word(lam, d), d + c), c) == transpose(lam)
 
 
 def test_skew_cells_example():
@@ -180,7 +201,7 @@ def test_covers_at_distance_examples():
 
 def test_covers_exhaust_the_interval_above():
     d, c = 3, 4
-    grid = partitions_in_grid(d, c)
+    grid = grid_partitions(d, c)
     for lam in grid:
         above = sum(
             1
@@ -194,7 +215,7 @@ def test_covers_exhaust_the_interval_above():
 def test_covers_order_is_the_grid_order():
     d, c = 3, 3
     by_degree = {}
-    for p in partitions_in_grid(d, c):
+    for p in grid_partitions(d, c):
         by_degree.setdefault(sum(p), []).append(p)
     for k in range(1, d * c + 1):
         expected = [p for p in by_degree.get(k, [])]
@@ -261,7 +282,7 @@ def test_skewshape_cell_count_invariant():
 
 
 def assert_strips_match_oracle(lam, k, d, c):
-    got = lenart_strips(lam, k, d, c)
+    got = [partition(mu, d) for mu in lenart_strips(word(lam, d), k, d, d + c)]
     assert len(got) == len(set(got)), (lam, k, d, c)
     assert sorted(got) == sorted(filtered_strips(lam, k, d, c)), (lam, k, d, c)
 
@@ -269,7 +290,7 @@ def assert_strips_match_oracle(lam, k, d, c):
 def test_lenart_strips_match_the_filtered_candidates_exhaustively():
     for d in range(7):
         for c in range(7):
-            lams = partitions_in_grid(d, c)
+            lams = grid_partitions(d, c)
             for n in range(4):
                 for lam in lams:
                     assert_strips_match_oracle(lam, 2 ** (n + 1) - 1, d, c)
@@ -288,3 +309,20 @@ def grid_partition(draw):
 def test_lenart_strips_property_against_oracle(case, n):
     lam, d, c = case
     assert_strips_match_oracle(lam, 2 ** (n + 1) - 1, d, c)
+
+
+def test_vertical_strips_match_the_filtered_candidates_exhaustively():
+    # Pieri: mu/lam is a vertical strip, at most one new box in each row.
+    for d in range(7):
+        for c in range(7):
+            for lam in grid_partitions(d, c):
+                padded = lam + (0,) * (d - len(lam))
+                for j in range(1, d + 1):
+                    got = [partition(mu, d) for mu in vertical_strips(word(lam, d), j, d + c)]
+                    assert len(got) == len(set(got)), (lam, j, d, c)
+                    expected = [
+                        mu
+                        for mu in covers_at_distance(lam, j, d, c)
+                        if all(v - padded[i] <= 1 for i, v in enumerate(mu))
+                    ]
+                    assert sorted(got) == sorted(expected), (lam, j, d, c)
