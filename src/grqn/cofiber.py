@@ -11,7 +11,7 @@ wrapper installed on a module attribute sees every call.
 from __future__ import annotations
 
 from . import homology, schubert, steenrod
-from .homology import GradedMap, HomologyProfile, _echelon, _in_span, _kernel_basis
+from .homology import GradedMap, HomologyProfile
 from .schubert import Grid
 
 
@@ -47,17 +47,6 @@ def _full_complex(n: int, grid: Grid) -> GradedMap:
     return schubert.lenart_qn_matrix(n, grid)
 
 
-def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
-    """Split the Grassmannian complex along the kernel of the restriction map.
-
-    The span of Schubert classes with a full first row is a differential
-    ideal computing the reduced cohomology of the inclusion cofiber; the
-    complementary span carries the complex of the one-step-smaller
-    Grassmannian.
-    """
-    return _split_ideal(_full_complex(n, grid), grid)
-
-
 def twisted_complex(n: int, d: int, m: int) -> GradedMap:
     """The cofiber complex modeled on the smaller Grassmannian's cohomology.
 
@@ -70,8 +59,11 @@ def twisted_complex(n: int, d: int, m: int) -> GradedMap:
     shift = 2 ** (n + 1) - 1
     grid = Grid(d - 1, m - d)
     q_image = schubert.derivation_image(n, grid)
-    # a has degree shift, so it packs exactly whenever the map has a block.
-    twist = [schubert.pack(grid, a) for a in steenrod.s_class(shift, grid.d).terms]
+    # a has degree shift: the map needs it, and it packs exactly, only when
+    # the map has a block.
+    twist = set()
+    if shift <= grid.top_degree:
+        twist = steenrod.power_sums(grid.d, grid.slot, shift)[shift]
 
     def image(r: int) -> list[int]:
         return q_image(r) + [r + a for a in twist]
@@ -95,29 +87,3 @@ def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:
     if excess < 0 or excess % 2:
         raise ParityViolation(f"exactness defect {excess} at n={n} d={d} m={m}")
     return sub_profile, excess // 2
-
-
-def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:
-    """Whether the ideal's homology maps to zero in the whole complex.
-
-    Checks on explicit representatives: every cocycle of the ideal
-    subcomplex must be a coboundary of the full complex.
-    """
-    full = _full_complex(n, Grid(d, m - d))
-    sel_sub, _ = _ideal_selection(d, m - d)
-    sub = full.restrict(sel_sub)
-    positions = {t: idx for t, idx in sel_sub.items() if idx}
-    for t, dim in sub.spaces.items():
-        block = sub.blocks.get(t)
-        cocycles = _kernel_basis(block) if block else [1 << j for j in range(dim)]
-        if not cocycles:
-            continue
-        boundaries = _echelon(full.block(t - full.shift))
-        for z in cocycles:
-            embedded = 0
-            for j in range(dim):
-                if z >> j & 1:
-                    embedded |= 1 << positions[t][j]
-            if not _in_span(embedded, boundaries):
-                return False
-    return True

@@ -21,17 +21,6 @@ class InvalidCell(ValueError):
     """Raised for parameter combinations that do not name a Grassmannian cell."""
 
 
-def binom_parity(a: int, b: int) -> int:
-    """Binomial coefficient mod 2 via the Lucas bit criterion.
-
-    ``C(a, b)`` is odd exactly when the binary digits of ``b`` are dominated
-    by those of ``a``; equivalently the subtraction ``a - b`` has no borrows.
-    """
-    if b < 0 or b > a:
-        return 0
-    return 1 if (a - b) & b == 0 else 0
-
-
 def _split_parity(n: int, m: int) -> tuple[int, int]:
     """Write ``m = 2^(n+1) - eps + 2l`` with ``eps`` in {0, 1} and ``l >= 0``.
 
@@ -113,60 +102,3 @@ def predicted_delta_rank(n: int, d: int, m: int) -> int:
     if m % 2 == 0 or m <= 2 ** (n + 1):
         return 0
     return _binomial_sum(2 ** (n + 1) - 2, d - 1, (m - 2 ** (n + 1) - 1) // 2)
-
-
-def lemma65_check(n: int, d: int, l: int) -> bool:
-    """Exact integer identity tying the three closed forms to the delta rank.
-
-    For ``m = 2^(n+1) - 1 + 2l`` with ``l > 0`` the long-exact-sequence
-    bookkeeping forces
-    ``(kG(d, m-1) + kC(d, m) - kG(d, m)) / 2 == predicted_delta_rank``.
-    """
-    if l <= 0:
-        raise ValueError(f"l must be positive, got {l}")
-    m = 2 ** (n + 1) - 1 + 2 * l
-    lhs = _grassmannian_sum(n, d, m - 1) + _cofiber_sum(n, d, m) - _grassmannian_sum(n, d, m)
-    if lhs % 2:
-        return False
-    return lhs // 2 == _binomial_sum(2 ** (n + 1) - 2, d - 1, l - 1)
-
-
-def projective_k(n: int, m: int) -> int:
-    """Closed form for projective spaces: Gr_1(R^m)."""
-    if m < 1:
-        raise InvalidCell(f"m must be positive, got {m}")
-    collapse = 2 ** (n + 1)
-    if m <= collapse:
-        return m
-    return collapse - m % 2
-
-
-def fixed_point_count(rep: list[tuple[str, int]], d: int) -> int:
-    """Total dimension contributed by a product-of-Grassmannians fixed space.
-
-    ``rep`` lists irreducible factors as ``(kind, multiplicity)`` with kind
-    ``"real"`` (1-dimensional) or ``"complex"`` (2-dimensional).  Counts all
-    ways of splitting a d-plane across the factors, each factor contributing
-    a full binomial coefficient.
-    """
-    sizes = []
-    for kind, mult in rep:
-        k = kind.lower()
-        if k not in ("real", "complex"):
-            raise ValueError(f"unknown factor kind {kind!r}")
-        if mult < 0:
-            raise ValueError(f"negative multiplicity {mult}")
-        sizes.append((1 if k == "real" else 2, mult))
-
-    def count(i: int, remaining: int) -> int:
-        if i == len(sizes):
-            return 1 if remaining == 0 else 0
-        r, mult = sizes[i]
-        total = 0
-        for j in range(remaining // r + 1):
-            ways = _comb(mult, j)
-            if ways:
-                total += ways * count(i + 1, remaining - j * r)
-        return total
-
-    return count(0, d)

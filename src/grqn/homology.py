@@ -31,15 +31,6 @@ def _echelon(cols: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _in_span(v: int, pivots: dict[int, int]) -> bool:
-    while v:
-        p = pivots.get(v.bit_length() - 1)
-        if p is None:
-            return False
-        v ^= p
-    return True
-
-
 def _kernel_basis(cols: Sequence[int]) -> list[int]:
     """Masks over column indices spanning the kernel."""
     pivots: dict[int, tuple[int, int]] = {}

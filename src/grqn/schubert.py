@@ -2,13 +2,13 @@
 
 Two independent constructions of the degree-raising primitive are provided:
 the border-strip coefficient formula applied directly to Schubert classes,
-and the Wu/commutator derivation computed in Stiefel-Whitney monomials and
-conjugated into the Schubert basis.  Their bit-for-bit agreement is the
-project's main cross-check.
+and Q_n as a derivation on Stiefel-Whitney monomials, with generator images
+from power sums (see ``steenrod``), conjugated into the Schubert basis.
+Their bit-for-bit agreement is the project's main cross-check.
 
 A Schubert class is the bead word of its partition (see ``young``), and a
-monomial w_1^(r_1)..w_d^(r_d) is a packed int: r_j sits in slot j - 1 of a
-grid-wide slot width, so a product within the top degree is a sum of ints.
+monomial w_1^(r_1)..w_d^(r_d) is a packed int: r_j sits in slot j - 1 of
+``Grid.slot`` bits, so a product within the top degree is a sum of ints.
 Per-grid state (basis tables, multiplication blocks, the conversion cache
 and each degree's inverse basis change) is kept in a small LRU of
 immutable-once-built contexts; all cached values are deterministic, so
@@ -45,31 +45,28 @@ class Grid:
     def top_degree(self) -> int:
         return self.d * self.c
 
+    @property
+    def slot(self) -> int:
+        """Bits per exponent of a packed monomial: enough for the top degree."""
+        return max(1, self.top_degree.bit_length())
+
 
 class _GridContext:
     """Basis tables and bit-packed multiplication data for one grid.
 
-    Monomials are packed ``slot`` bits per generator.  The slot holds the
-    top degree, and no exponent of a monomial exceeds its degree, so every
-    monomial of degree at most the top degree packs without carry.
+    Monomials are packed ``Grid.slot`` bits per generator.  The slot holds
+    the top degree, and no exponent of a monomial exceeds its degree, so
+    every monomial of degree at most the top degree packs without carry.
     """
 
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
-        self.slot = max(1, grid.top_degree.bit_length())
         self.basis = partitions_in_grid(grid.d, grid.c)
         self.index = {t: {w: i for i, w in enumerate(words)} for t, words in self.basis.items()}
         self._pieri: dict[tuple[int, int], tuple[int, ...]] = {}
         self._convert: dict[int, int] = {0: 1}
         self._monomials: dict[int, list[int]] = {}
         self._inverse: dict[int, list[int]] = {}
-
-    def pack(self, r: tuple[int, ...]) -> int:
-        """The packed monomial w^r; exact while each exponent fits a slot."""
-        u = 0
-        for i, e in enumerate(r):
-            u |= e << self.slot * i
-        return u
 
     def pieri_block(self, j: int, t: int) -> tuple[int, ...]:
         """Columns of multiplication by w_j from degree t to degree t + j."""
@@ -98,7 +95,7 @@ class _GridContext:
         out = cache.get(u)
         if out is not None:
             return out
-        slot = self.slot
+        slot = self.grid.slot
         peeled = []
         while out is None:
             j = (u.bit_length() - 1) // slot + 1
@@ -117,13 +114,14 @@ class _GridContext:
         cached = self._monomials.get(t)
         if cached is not None:
             return cached
-        c, slot = self.grid.c, self.slot
+        c, slot = self.grid.c, self.grid.slot
         out: list[int] = []
 
         def rec(j: int, deg: int, factors: int, u: int) -> None:
-            if j == 0:
-                if deg == 0:
-                    out.append(u)
+            if j <= 1:
+                # Only w_1^deg ends at degree 0 (and with no generators, only deg = 0).
+                if deg <= j * (c - factors):
+                    out.append(u | deg)
                 return
             cap = min(deg // j, c - factors)
             for e in range(cap, -1, -1):
@@ -199,27 +197,20 @@ def free_operator_matrix(
     return GradedMap(shift, spaces, blocks)
 
 
-def pack(grid: Grid, r: tuple[int, ...]) -> int:
-    """The grid's packed form of the monomial w^r (see ``_GridContext``)."""
-    return _context(grid).pack(r)
-
-
 def derivation_image(n: int, grid: Grid) -> Callable[[int], list[int]]:
     """Q_n on the grid's packed monomials, extended from generators as a derivation.
 
     The image of w^r lists w^(r - e_j) * Q_n(w_j) over each j with r_j odd.
     Generators whose image passes the top degree appear in no image the
-    matrix needs, so their Steenrod tables are never built.
+    matrix needs, so their images are never built.
     """
     if n < 0:
         raise ValueError(f"primitive index must be nonnegative, got {n}")
-    shift = 2 ** (n + 1) - 1
-    ctx = _context(grid)
-    gens = []
-    for j in range(1, min(grid.d, grid.top_degree - shift) + 1):
-        offset = ctx.slot * (j - 1)
-        terms = [ctx.pack(v) for v in steenrod._q_gen(n, j, grid.d).terms]
-        gens.append((offset, 1 << offset, terms))
+    count, slot = min(grid.d, grid.top_degree - 2 ** (n + 1) + 1), grid.slot
+    gens = [
+        (slot * j, 1 << slot * j, terms)
+        for j, terms in enumerate(steenrod.milnor_q_generators(n, grid.d, slot, count))
+    ]
 
     def image(r: int) -> list[int]:
         return [r - unit + v for offset, unit, terms in gens if r >> offset & 1 for v in terms]
@@ -228,6 +219,6 @@ def derivation_image(n: int, grid: Grid) -> Callable[[int], list[int]]:
 
 
 def derivation_qn_matrix(n: int, grid: Grid) -> GradedMap:
-    """The primitive's matrix from the Wu-formula derivation route."""
+    """The primitive's matrix from the derivation route."""
     image = derivation_image(n, grid)
     return free_operator_matrix(grid, 2 ** (n + 1) - 1, image)

@@ -7,6 +7,12 @@ skew-shape layer, the dense rank and the total square serve only as
 oracles and test helpers; the library itself works on bit-packed vectors
 and on bead words, and ``word``/``partition`` translate between a bead
 word and the partition tuple the oracles use.
+
+The tuple Stiefel-Whitney ring with its Wu-formula squares and
+commutator-recursion primitives is the reference for the library's
+power-sum closed forms on packed monomials; ``pack`` translates a tuple
+monomial into the library's packed int.  The closed-form identities and the
+cofiber's induced-map check below have no caller in the CLI.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from grqn.homology import _echelon
+from grqn.cofiber import _full_complex, _ideal_selection, _split_ideal
+from grqn.formulas import InvalidCell, _binomial_sum, _cofiber_sum, _comb, _grassmannian_sum
+from grqn.homology import GradedMap, _echelon, _kernel_basis
 from grqn.schubert import Grid, _context
-from grqn.steenrod import Polynomial, monomial_degree, sq
 from grqn.young import partitions_in_grid
 
 Partition = tuple[int, ...]
@@ -268,6 +275,361 @@ def filtered_strips(lam: Partition, k: int, d: int, c: int) -> list[Partition]:
     return [mu for mu in covers_at_distance(lam, k, d, c) if lenart_coefficient(lam, mu)]
 
 
+# --- the tuple Stiefel-Whitney ring and its Steenrod action ---------------------
+#
+# A polynomial is a set of exponent tuples for w_1..w_d.  Squares act on
+# generators by the Wu formula and extend by the Cartan formula; Q_n comes
+# from the commutator recursion and extends as a derivation.  The library
+# computes Q_n(w_j) from power sums on packed monomials instead.
+
+
+def binom_parity(a: int, b: int) -> int:
+    """Binomial coefficient mod 2 via the Lucas bit criterion.
+
+    ``C(a, b)`` is odd exactly when the binary digits of ``b`` are dominated
+    by those of ``a``; equivalently the subtraction ``a - b`` has no borrows.
+    """
+    if b < 0 or b > a:
+        return 0
+    return 1 if (a - b) & b == 0 else 0
+
+
+Monomial = tuple[int, ...]
+
+
+class AmbientMismatch(ValueError):
+    """Raised when combining polynomials over different generator counts."""
+
+
+@dataclass(frozen=True)
+class Polynomial:
+    """F_2 sum of monomials in w_1..w_d."""
+
+    d: int
+    terms: frozenset[Monomial]
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        if self.d != other.d:
+            raise AmbientMismatch(f"ambient d mismatch: {self.d} vs {other.d}")
+        return Polynomial(self.d, self.terms ^ other.terms)
+
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        return multiply(self, other)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+def monomial_degree(r: Monomial) -> int:
+    return sum((i + 1) * e for i, e in enumerate(r))
+
+
+def zero(d: int) -> Polynomial:
+    return Polynomial(d, frozenset())
+
+
+def one(d: int) -> Polynomial:
+    return Polynomial(d, frozenset({(0,) * d}))
+
+
+def generator(j: int, d: int) -> Polynomial:
+    """The class w_j, or zero when j exceeds the ambient rank."""
+    if j == 0:
+        return one(d)
+    if j > d:
+        return zero(d)
+    r = [0] * d
+    r[j - 1] = 1
+    return Polynomial(d, frozenset({tuple(r)}))
+
+
+def multiply(p: Polynomial, q: Polynomial) -> Polynomial:
+    if p.d != q.d:
+        raise AmbientMismatch(f"ambient d mismatch: {p.d} vs {q.d}")
+    acc: set[Monomial] = set()
+    for a in p.terms:
+        for b in q.terms:
+            acc ^= {tuple(x + y for x, y in zip(a, b))}
+    return Polynomial(p.d, frozenset(acc))
+
+
+# Memo tables, keyed by ambient rank.
+_SQ_GEN: dict[tuple[int, int, int], Polynomial] = {}
+_SQ_POWER: dict[tuple[int, int, int, int], Polynomial] = {}
+_Q_GEN: dict[tuple[int, int, int], Polynomial] = {}
+_DUAL: dict[tuple[int, int], Polynomial] = {}
+_S_CLASS: dict[tuple[int, int], Polynomial] = {}
+
+
+def _sq_gen(i: int, j: int, d: int) -> Polynomial:
+    """Wu formula: Sq^i(w_j) = sum_t C(j-i+t-1, t) w_{i-t} w_{j+t}."""
+    if i == 0:
+        return generator(j, d)
+    if i > j:
+        return zero(d)
+    key = (d, i, j)
+    cached = _SQ_GEN.get(key)
+    if cached is not None:
+        return cached
+    acc = zero(d)
+    for t in range(i + 1):
+        if t and not binom_parity(j - i + t - 1, t):
+            continue
+        term = generator(i - t, d) * generator(j + t, d)
+        acc = acc + term
+    _SQ_GEN[key] = acc
+    return acc
+
+
+def _sq_power(i: int, j: int, e: int, d: int) -> Polynomial:
+    """Sq^i(w_j^e), using the Frobenius shortcut on even exponents."""
+    if e == 0:
+        return one(d) if i == 0 else zero(d)
+    if i == 0:
+        r = [0] * d
+        if j <= d:
+            r[j - 1] = e
+            return Polynomial(d, frozenset({tuple(r)}))
+        return zero(d)
+    if i > e * j:
+        return zero(d)
+    key = (d, i, j, e)
+    cached = _SQ_POWER.get(key)
+    if cached is not None:
+        return cached
+    if e % 2 == 0:
+        acc = _frobenius(_sq_power(i // 2, j, e // 2, d)) if i % 2 == 0 else zero(d)
+    else:
+        acc = zero(d)
+        for a in range(min(i, j) + 1):
+            lhs = _sq_gen(a, j, d)
+            if not lhs:
+                continue
+            rhs = _sq_power(i - a, j, e - 1, d)
+            if rhs:
+                acc = acc + lhs * rhs
+    _SQ_POWER[key] = acc
+    return acc
+
+
+def _frobenius(p: Polynomial) -> Polynomial:
+    """Squaring is exponent doubling in characteristic 2."""
+    return Polynomial(p.d, frozenset(tuple(2 * e for e in r) for r in p.terms))
+
+
+def _sq_monomial(i: int, r: Monomial, d: int) -> Polynomial:
+    """Cartan formula across the generator factors of one monomial."""
+    parts = [(j + 1, e) for j, e in enumerate(r) if e]
+    states: dict[int, Polynomial] = {0: one(d)}
+    for j, e in parts:
+        nxt: dict[int, Polynomial] = {}
+        cap = e * j
+        for used, poly in states.items():
+            for b in range(min(i - used, cap) + 1):
+                piece = _sq_power(b, j, e, d)
+                if not piece:
+                    continue
+                prod = poly * piece
+                key = used + b
+                nxt[key] = nxt[key] + prod if key in nxt else prod
+        states = nxt
+    return states.get(i, zero(d))
+
+
+def sq(i: int, p: Polynomial) -> Polynomial:
+    """Steenrod square Sq^i, raising degree by i."""
+    if i < 0:
+        raise ValueError(f"square index must be nonnegative, got {i}")
+    if i == 0:
+        return p
+    acc = zero(p.d)
+    for r in p.terms:
+        acc = acc + _sq_monomial(i, r, p.d)
+    return acc
+
+
+def _q_gen(n: int, j: int, d: int) -> Polynomial:
+    """Milnor primitive on a generator: Q_0 = Sq^1, Q_n = [Q_{n-1}, Sq^{2^n}]."""
+    if j > d or j == 0:
+        return zero(d)
+    key = (d, n, j)
+    cached = _Q_GEN.get(key)
+    if cached is not None:
+        return cached
+    if n == 0:
+        acc = _sq_gen(1, j, d)
+    else:
+        prev = _q_gen(n - 1, j, d)
+        acc = sq(2 ** n, prev) + milnor_q(n - 1, _sq_gen(2 ** n, j, d))
+    _Q_GEN[key] = acc
+    return acc
+
+
+def milnor_q(n: int, p: Polynomial) -> Polynomial:
+    """Milnor primitive Q_n, a derivation raising degree by 2^(n+1) - 1."""
+    if n < 0:
+        raise ValueError(f"primitive index must be nonnegative, got {n}")
+    d = p.d
+    acc: set[Monomial] = set()
+    for r in p.terms:
+        for j in range(1, d + 1):
+            if r[j - 1] % 2 == 0:
+                continue
+            rest = list(r)
+            rest[j - 1] -= 1
+            for u in _q_gen(n, j, d).terms:
+                acc ^= {tuple(x + y for x, y in zip(rest, u))}
+    return Polynomial(d, frozenset(acc))
+
+
+def dual_class(k: int, d: int) -> Polynomial:
+    """The complementary-bundle class: degree-k piece of (1 + w_1 + .. + w_d)^-1."""
+    if k < 0:
+        raise ValueError(f"dual class index must be nonnegative, got {k}")
+    if k == 0:
+        return one(d)
+    key = (d, k)
+    cached = _DUAL.get(key)
+    if cached is not None:
+        return cached
+    acc = zero(d)
+    for i in range(1, min(d, k) + 1):
+        acc = acc + generator(i, d) * dual_class(k - i, d)
+    _DUAL[key] = acc
+    return acc
+
+
+def s_class(k: int, d: int) -> Polynomial:
+    """Mod-2 power sum p_k in the Chern-root analogues, via Newton's identity.
+
+    p_k = sum_{i<k} w_i p_{k-i} + (k mod 2) w_k, additive under Whitney sum.
+    """
+    if k <= 0:
+        raise ValueError(f"s-class index must be positive, got {k}")
+    key = (d, k)
+    cached = _S_CLASS.get(key)
+    if cached is not None:
+        return cached
+    acc = zero(d)
+    for i in range(1, min(d, k - 1) + 1):
+        acc = acc + generator(i, d) * s_class(k - i, d)
+    if k % 2:
+        acc = acc + generator(k, d)
+    _S_CLASS[key] = acc
+    return acc
+
+
+def pack(r: Monomial, slot: int) -> int:
+    """The packed monomial w^r: r_j in slot j - 1 of ``slot`` bits, as the library packs."""
+    return sum(e << slot * i for i, e in enumerate(r))
+
+
+# --- closed forms and cofiber checks with no caller in the CLI ------------------
+
+
+def lemma65_check(n: int, d: int, l: int) -> bool:
+    """Exact integer identity tying the three closed forms to the delta rank.
+
+    For ``m = 2^(n+1) - 1 + 2l`` with ``l > 0`` the long-exact-sequence
+    bookkeeping forces
+    ``(kG(d, m-1) + kC(d, m) - kG(d, m)) / 2 == predicted_delta_rank``.
+    """
+    if l <= 0:
+        raise ValueError(f"l must be positive, got {l}")
+    m = 2 ** (n + 1) - 1 + 2 * l
+    lhs = _grassmannian_sum(n, d, m - 1) + _cofiber_sum(n, d, m) - _grassmannian_sum(n, d, m)
+    if lhs % 2:
+        return False
+    return lhs // 2 == _binomial_sum(2 ** (n + 1) - 2, d - 1, l - 1)
+
+
+def projective_k(n: int, m: int) -> int:
+    """Closed form for projective spaces: Gr_1(R^m)."""
+    if m < 1:
+        raise InvalidCell(f"m must be positive, got {m}")
+    collapse = 2 ** (n + 1)
+    if m <= collapse:
+        return m
+    return collapse - m % 2
+
+
+def fixed_point_count(rep: list[tuple[str, int]], d: int) -> int:
+    """Total dimension contributed by a product-of-Grassmannians fixed space.
+
+    ``rep`` lists irreducible factors as ``(kind, multiplicity)`` with kind
+    ``"real"`` (1-dimensional) or ``"complex"`` (2-dimensional).  Counts all
+    ways of splitting a d-plane across the factors, each factor contributing
+    a full binomial coefficient.
+    """
+    sizes = []
+    for kind, mult in rep:
+        k = kind.lower()
+        if k not in ("real", "complex"):
+            raise ValueError(f"unknown factor kind {kind!r}")
+        if mult < 0:
+            raise ValueError(f"negative multiplicity {mult}")
+        sizes.append((1 if k == "real" else 2, mult))
+
+    def count(i: int, remaining: int) -> int:
+        if i == len(sizes):
+            return 1 if remaining == 0 else 0
+        r, mult = sizes[i]
+        total = 0
+        for j in range(remaining // r + 1):
+            ways = _comb(mult, j)
+            if ways:
+                total += ways * count(i + 1, remaining - j * r)
+        return total
+
+    return count(0, d)
+
+
+def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
+    """Split the Grassmannian complex along the kernel of the restriction map.
+
+    The span of Schubert classes with a full first row is a differential
+    ideal computing the reduced cohomology of the inclusion cofiber; the
+    complementary span carries the complex of the one-step-smaller
+    Grassmannian.
+    """
+    return _split_ideal(_full_complex(n, grid), grid)
+
+
+def _in_span(v: int, pivots: dict[int, int]) -> bool:
+    while v:
+        p = pivots.get(v.bit_length() - 1)
+        if p is None:
+            return False
+        v ^= p
+    return True
+
+
+def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:
+    """Whether the ideal's homology maps to zero in the whole complex.
+
+    Checks on explicit representatives: every cocycle of the ideal
+    subcomplex must be a coboundary of the full complex.
+    """
+    full = _full_complex(n, Grid(d, m - d))
+    sel_sub, _ = _ideal_selection(d, m - d)
+    sub = full.restrict(sel_sub)
+    positions = {t: idx for t, idx in sel_sub.items() if idx}
+    for t, dim in sub.spaces.items():
+        block = sub.blocks.get(t)
+        cocycles = _kernel_basis(block) if block else [1 << j for j in range(dim)]
+        if not cocycles:
+            continue
+        boundaries = _echelon(full.block(t - full.shift))
+        for z in cocycles:
+            embedded = 0
+            for j in range(dim):
+                if z >> j & 1:
+                    embedded |= 1 << positions[t][j]
+            if not _in_span(embedded, boundaries):
+                return False
+    return True
+
+
 # --- bit-packed vectors read back as sets --------------------------------------
 
 
@@ -282,7 +644,7 @@ def schubert_support(p: Polynomial, grid: Grid) -> set[Partition]:
     out: set[int] = set()
     for r in p.terms:
         t = monomial_degree(r)
-        out ^= decode(ctx.convert(ctx.pack(r), t), ctx.basis.get(t, []))
+        out ^= decode(ctx.convert(pack(r, grid.slot), t), ctx.basis.get(t, []))
     return {partition(w, grid.d) for w in out}
 
 

@@ -8,12 +8,23 @@ import time
 from math import comb
 
 from grqn.cli import compute_cell, main, verify_sweep
-from grqn.formulas import binom_parity, lemma65_check, predicted_delta_rank, predicted_k
-from grqn.cofiber import cofiber_homology, ideal_inclusion_induced_zero, ideal_subcomplex
+from grqn.formulas import predicted_delta_rank, predicted_k
+from grqn.cofiber import cofiber_homology
 from grqn.homology import qn_homology
 from grqn.schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
-from grqn.steenrod import Polynomial, dual_class, generator, milnor_q, one, zero
-from oracles import schubert_support
+from oracles import (
+    Polynomial,
+    binom_parity,
+    dual_class,
+    generator,
+    ideal_inclusion_induced_zero,
+    ideal_subcomplex,
+    lemma65_check,
+    milnor_q,
+    one,
+    schubert_support,
+    zero,
+)
 
 K1_GOLDEN = {
     1: [2, 3, 4, 3, 4, 3],

@@ -2,11 +2,17 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grqn
 from grqn import cli
 from grqn.cli import (
     CacheCorrupt,
@@ -267,6 +273,15 @@ def test_main_cofiber(capsys):
     assert rep["twisted_match"] is True
 
 
+def test_main_cofiber_with_a_twist_above_the_top_degree(capsys):
+    # n=10 shifts by 2047 on a 1x3 grid, so the map has no block and the
+    # twist class is not built; a recursion up to degree 2047 exhausts the stack.
+    assert main(["cofiber", "--n", "10", "--d", "2", "--m", "5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["cofiber_total"] == rep["predicted_cofiber"] == 4
+    assert rep["twisted_match"] is True
+
+
 def zero_differential(n, d, m):
     twisted = twisted_complex(n, d, m)
     return GradedMap(twisted.shift, twisted.spaces)
@@ -461,6 +476,43 @@ def test_torn_last_cache_line_resumes_and_recomputes(tmp_path):
     assert len(again) == 3
     assert json.loads(again[2])["m"] == json.loads(lines[2])["m"]
     assert len(load_cache(cache)) == 3
+
+
+def records_without_timing(path):
+    out = []
+    for line in read_lines(path):
+        record = json.loads(line)
+        del record["elapsed_ms"]
+        out.append(record)
+    return out
+
+
+def test_killed_sweep_resumes_to_the_uninterrupted_records(tmp_path, capsys):
+    # One child sweeps the benchmark range and is killed as soon as its cache
+    # holds a complete record; resuming must finish with the same records.
+    cell_range = ["--n", "0..3", "--d", "1..6", "--c", "1..7"]
+    cache = tmp_path / "killed.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(grqn.__file__).parents[1]))
+    argv = [sys.executable, "-m", "grqn.cli", "verify", *cell_range, "--cache", str(cache)]
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while child.poll() is None and time.monotonic() < deadline:
+            if cache.exists() and b"\n" in cache.read_bytes():
+                break
+            time.sleep(0.005)
+        child.send_signal(signal.SIGKILL)
+    finally:
+        child.wait()
+    assert child.returncode == -signal.SIGKILL  # killed, so the sweep had not finished
+    finished = len(load_cache(str(cache)))
+    assert finished >= 1
+    assert main(["verify", *cell_range, "--cache", str(cache)]) == 0
+    assert json.loads(capsys.readouterr().out)["skipped"] == finished
+    whole = tmp_path / "whole.jsonl"
+    assert main(["verify", *cell_range, "--cache", str(whole)]) == 0
+    assert records_without_timing(cache) == records_without_timing(whole)
+    assert len(read_lines(whole)) == 4 * 6 * 7
 
 
 def test_complete_last_record_without_line_break_is_kept(tmp_path):

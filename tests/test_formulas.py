@@ -9,14 +9,11 @@ from grqn.formulas import (
     InvalidCell,
     _cofiber_sum,
     _grassmannian_sum,
-    binom_parity,
-    fixed_point_count,
-    lemma65_check,
     predicted_cofiber_k,
     predicted_delta_rank,
     predicted_k,
-    projective_k,
 )
+from oracles import binom_parity, fixed_point_count, lemma65_check, projective_k
 
 
 def test_predicted_k_table_values():

@@ -5,13 +5,7 @@ from math import comb
 
 import pytest
 
-from grqn.cofiber import (
-    GridTooSmall,
-    cofiber_homology,
-    ideal_inclusion_induced_zero,
-    ideal_subcomplex,
-    twisted_complex,
-)
+from grqn.cofiber import GridTooSmall, cofiber_homology, twisted_complex
 from grqn.homology import (
     GradedMap,
     HomologyProfile,
@@ -22,7 +16,7 @@ from grqn.homology import (
     qn_homology,
 )
 from grqn.schubert import Grid, lenart_qn_matrix, schubert_basis
-from oracles import rank
+from oracles import ideal_inclusion_induced_zero, ideal_subcomplex, rank
 
 
 def test_rank_examples():

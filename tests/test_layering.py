@@ -67,7 +67,31 @@ def test_no_call_time_or_type_checking_imports():
 
 
 def test_homology_imports_nothing_from_the_package():
-    assert import_graph()["homology"] == set()
+    graph = import_graph()
+    assert graph["homology"] == set()
+    assert graph["steenrod"] == set()
+
+
+def test_one_monomial_representation():
+    # A monomial is a packed int everywhere in the package: the tuple ring and
+    # its tuple-to-int packer live in the tests' oracles.
+    found = []
+    for name, path in MODULES.items():
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in TUPLE_RING:
+                found.append(f"{name}.py:{node.lineno} defines {node.name}")
+            elif isinstance(node, ast.Name) and node.id in TUPLE_RING:
+                found.append(f"{name}.py:{node.lineno} names {node.id}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "pack":
+                found.append(f"{name}.py:{node.lineno} calls pack")
+    assert not found, found
+    # The generator images are recomputed per grid, not kept in module tables.
+    tree = parsed(MODULES["steenrod"])
+    assigned = [node for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))]
+    assert not assigned, [node.lineno for node in assigned]
+
+
+TUPLE_RING = {"Polynomial", "Monomial", "pack", "sq", "milnor_q"}
 
 
 def lowest_set_bit_lines(path):

@@ -8,19 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grqn.homology import _echelon
-from grqn.schubert import (
-    Grid,
-    _context,
-    derivation_qn_matrix,
-    lenart_qn_matrix,
-    pack,
-    schubert_basis,
-)
-from grqn.steenrod import dual_class, generator, monomial_degree
+from grqn.schubert import Grid, _context, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
 from oracles import (
     conjugate,
     decode,
+    dual_class,
+    generator,
     grid_partitions,
+    monomial_degree,
+    pack,
     partition,
     schubert_support,
     transpose,
@@ -105,7 +101,7 @@ def convert(grid, r):
     """Schubert classes of the monomial w^r, read off the bit-packed conversion."""
     ctx = _context(grid)
     t = monomial_degree(r)
-    mask = ctx.convert(pack(grid, r), t)
+    mask = ctx.convert(pack(r, grid.slot), t)
     return {partition(w, grid.d) for w in decode(mask, ctx.basis.get(t, []))}
 
 

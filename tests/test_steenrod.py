@@ -1,25 +1,32 @@
-"""Ring, square and primitive identities, plus a concrete-variable oracle."""
+"""Ring, square and primitive identities, plus a concrete-variable oracle.
+
+The tuple ring of ``oracles`` is checked against its own identities here,
+and the library's packed power sums and primitives against the tuple ring.
+"""
 
 import random
 from itertools import combinations
 
 import pytest
 
-from grqn.formulas import binom_parity
-from grqn.steenrod import (
+from grqn.steenrod import milnor_q_generators, power_sums
+from oracles import (
     AmbientMismatch,
     Polynomial,
+    _q_gen,
+    binom_parity,
     dual_class,
     generator,
     milnor_q,
     monomial_degree,
     multiply,
     one,
+    pack,
     s_class,
     sq,
+    total_sq,
     zero,
 )
-from oracles import total_sq
 
 
 def poly(d, *monomials):
@@ -232,6 +239,39 @@ def test_s_class_additive_under_whitney_sum():
             left = substitute(s_class(k, a), xs, d)
             right = substitute(s_class(k, b), ys, d)
             assert whole == left ^ right
+
+
+# --- the library's packed closed forms --------------------------------------
+
+
+def packed(p, slot):
+    return {pack(r, slot) for r in p.terms}
+
+
+def test_packed_primitives_match_the_commutator_recursion():
+    for n in range(4):
+        for d in range(1, 11):
+            slot = (2 ** (n + 1) + d).bit_length()
+            images = milnor_q_generators(n, d, slot, d)
+            assert len(images) == d
+            for j, image in enumerate(images, start=1):
+                assert image == packed(_q_gen(n, j, d), slot), (n, j, d)
+
+
+def test_packed_power_sums_match_newton():
+    for d in range(9):
+        for c in range(9):
+            top = d * c
+            slot = max(1, top.bit_length())
+            sums = power_sums(d, slot, top)
+            assert len(sums) == top + 1 and not sums[0]
+            for k in range(1, top + 1):
+                assert sums[k] == packed(s_class(k, d), slot), (d, c, k)
+
+
+def test_packed_primitives_need_a_generator():
+    assert milnor_q_generators(0, 3, 4, 0) == []
+    assert milnor_q_generators(2, 3, 4, -5) == []
 
 
 # --- misc -------------------------------------------------------------------
