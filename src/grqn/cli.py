@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 from math import comb
 
 from .cofiber import GridTooSmall, cofiber_homology, twisted_complex
-from .formulas import InvalidCell, predicted_cofiber_k, predicted_delta_rank, predicted_k
+from .formulas import InvalidCell, check_cell, predicted_cofiber_k, predicted_delta_rank, predicted_k
 from .homology import qn_homology
 from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
 
@@ -85,9 +85,13 @@ def cell_limit() -> int:
     raw = os.environ.get(CELL_LIMIT_ENV)
     if not raw:
         return DEFAULT_CELL_LIMIT
-    if not raw.strip().isdigit():
-        raise UsageError(f"{CELL_LIMIT_ENV} must be a nonnegative integer, got {raw!r}")
-    return int(raw)
+    try:
+        limit = int(raw)
+        if limit >= 0:
+            return limit
+    except ValueError:
+        pass
+    raise UsageError(f"{CELL_LIMIT_ENV} must be a nonnegative integer, got {raw!r}")
 
 
 def default_method(n: int, d: int, m: int) -> str:
@@ -118,8 +122,7 @@ def _check_size(d: int, m: int, limit: int | None) -> None:
 
 def compute_cell(n: int, d: int, m: int, basis: str = "auto", limit: int | None = None) -> ResultRecord:
     """Build the cell's differential, take homology, compare with prediction."""
-    if n < 0 or d < 0 or m < 0 or d > m:
-        raise InvalidCell(f"invalid cell n={n} d={d} m={m}")
+    check_cell(n, d, m)
     _check_size(d, m, limit)
     method = {
         "auto": default_method(n, d, m),
@@ -197,8 +200,7 @@ def table_csv(rows: list[dict]) -> str:
 
 def cofiber_report(n: int, d: int, m: int, limit: int | None = None) -> dict:
     """Reduced cofiber homology, connecting rank, predictions, twist check."""
-    if n < 0 or d < 1 or d > m:
-        raise InvalidCell(f"invalid cell n={n} d={d} m={m}")
+    check_cell(n, d, m, least_d=1)
     _check_size(d, m, limit)
     sub_profile, delta = cofiber_homology(n, d, m)
     twisted = qn_homology(twisted_complex(n, d, m))
@@ -296,6 +298,8 @@ def verify_sweep(
     for name, values in (("n", n_range), ("d", d_range), ("c", c_range)):
         if not values:
             raise UsageError(f"empty {name} range {values.start}..{values.stop - 1}")
+    # every cell is valid when the lowest one is
+    check_cell(n_range[0], d_range[0], d_range[0] + c_range[0])
     workers = min(jobs, os.cpu_count() or 1)
     cap = cell_limit() if limit is None else limit
     cache = load_cache(cache_path)

@@ -1,11 +1,11 @@
 """The inclusion cofiber of Gr_d(R^(m-1)) -> Gr_d(R^m) and its connecting map.
 
-The Schubert classes with a full first row span a differential ideal of the
-Grassmannian complex; it computes the reduced cofiber homology, and its
-quotient is the complex of the one-step-smaller Grassmannian.  This module
-sits above ``homology``, ``schubert`` and ``steenrod``.  It calls their
-matrix constructions and ``qn_homology`` through the module objects, so a
-wrapper installed on a module attribute sees every call.
+The Schubert classes with a full first row lead each degree of the basis
+and span a differential ideal; it computes the reduced cofiber homology,
+and its quotient is the complex of the one-step-smaller Grassmannian.
+This module sits above ``homology``, ``schubert`` and ``steenrod``.  It
+calls their matrix constructions and ``qn_homology`` through the module
+objects, so a wrapper installed on a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -23,21 +23,10 @@ class ParityViolation(RuntimeError):
     """Exactness bookkeeping produced an odd defect; indicates a bug."""
 
 
-def _ideal_selection(d: int, c: int) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Per-degree positions of the top-column ideal basis and its complement."""
-    top = d + c - 1  # a full first row puts its bead in the top slot
-    sub: dict[int, list[int]] = {}
-    quot: dict[int, list[int]] = {}
-    for t, words in schubert.schubert_basis(Grid(d, c)).items():
-        sub[t] = [i for i, w in enumerate(words) if w >> top & 1]
-        quot[t] = [i for i, w in enumerate(words) if not w >> top & 1]
-    return sub, quot
-
-
-def _split_ideal(full: GradedMap, grid: Grid) -> tuple[GradedMap, GradedMap]:
-    """Restrict the whole complex to the top-column ideal and to its quotient."""
-    sel_sub, sel_quot = _ideal_selection(grid.d, grid.c)
-    return full.restrict(sel_sub), full.restrict(sel_quot)
+def _ideal_cut(grid: Grid) -> dict[int, int]:
+    """Per degree, how many words have a full first row: they come first."""
+    top = grid.m - 1  # a full first row puts its bead in the top slot
+    return {t: sum(w >> top for w in words) for t, words in schubert.schubert_basis(grid).items()}
 
 
 def _full_complex(n: int, grid: Grid) -> GradedMap:
@@ -80,7 +69,7 @@ def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:
     """
     grid = Grid(d, m - d)
     full = _full_complex(n, grid)
-    sub, quot = _split_ideal(full, grid)
+    sub, quot = full.restrict(_ideal_cut(grid))
     sub_profile = homology.qn_homology(sub)
     quot_total = homology.qn_homology(quot).total
     excess = sub_profile.total + quot_total - homology.qn_homology(full).total

@@ -51,8 +51,9 @@ def _cofiber_sum(n: int, d: int, m: int) -> int:
     return _binomial_sum(2 ** (n + 1) - 1 - eps, d - 1, l)
 
 
-def _check_cell(n: int, d: int, m: int) -> None:
-    if n < 0 or d < 0 or m < 0 or d > m:
+def check_cell(n: int, d: int, m: int, least_d: int = 0) -> None:
+    """Raise ``InvalidCell`` unless n >= 0 and least_d <= d <= m."""
+    if n < 0 or not least_d <= d <= m:
         raise InvalidCell(f"invalid cell n={n} d={d} m={m}")
 
 
@@ -79,15 +80,13 @@ def predicted_k(n: int, d: int, m: int) -> int:
     For ``m <= 2^(n+1)`` the differential vanishes and the answer is C(m, d);
     beyond that range the binomial sum applies.
     """
-    _check_cell(n, d, m)
+    check_cell(n, d, m)
     return _collapse_or_sum(n, d, m, _comb(m, d), _grassmannian_sum)
 
 
 def predicted_cofiber_k(n: int, d: int, m: int) -> int:
     """Predicted reduced Q_n-homology dimension of the cofiber C_d(R^m)."""
-    _check_cell(n, d, m)
-    if d < 1:
-        raise InvalidCell(f"cofiber needs d >= 1, got d={d}")
+    check_cell(n, d, m, least_d=1)
     return _collapse_or_sum(n, d, m, _comb(m - 1, d - 1), _cofiber_sum)
 
 
@@ -98,7 +97,7 @@ def predicted_delta_rank(n: int, d: int, m: int) -> int:
     ``m = 2^(n+1) - 1 + 2l`` with ``l > 0`` it is
     sum_i C(2^(n+1)-2, d-1-2i) C(l-1, i).
     """
-    _check_cell(n, d, m)
+    check_cell(n, d, m)
     if m % 2 == 0 or m <= 2 ** (n + 1):
         return 0
     return _binomial_sum(2 ** (n + 1) - 2, d - 1, (m - 2 ** (n + 1) - 1) // 2)

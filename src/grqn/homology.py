@@ -115,32 +115,22 @@ class GradedMap:
                 return False
         return True
 
-    def restrict(self, selection: dict[int, list[int]]) -> "GradedMap":
-        """Induced map on the sub-basis picked out per degree by ``selection``.
+    def restrict(self, cut: dict[int, int]) -> tuple["GradedMap", "GradedMap"]:
+        """Induced maps on the first ``cut[t]`` basis vectors of each degree t, and on the rest.
 
-        Both domain and codomain are cut down; bits outside the selection are
-        dropped, which is the quotient map when the selection is not
-        invariant.
+        Bits outside a piece are dropped: when the first vectors span a
+        subcomplex, the two pieces are the subcomplex and the quotient.
         """
-        spaces = {t: len(idx) for t, idx in selection.items() if idx}
-        blocks: dict[int, tuple[int, ...]] = {}
-        for t, idx in selection.items():
-            rows = selection.get(t + self.shift)
-            if not idx or not rows:
-                continue
-            old = self.blocks.get(t)
-            if old is None:
-                continue
-            cols = []
-            for j in idx:
-                mask = old[j]
-                out = 0
-                for k, r in enumerate(rows):
-                    if mask >> r & 1:
-                        out |= 1 << k
-                cols.append(out)
-            blocks[t] = tuple(cols)
-        return GradedMap(self.shift, spaces, blocks)
+        heads: dict[int, tuple[int, ...]] = {}
+        tails: dict[int, tuple[int, ...]] = {}
+        for t, cols in self.blocks.items():
+            rows = cut[t + self.shift]
+            heads[t] = tuple(col & (1 << rows) - 1 for col in cols[: cut[t]])
+            tails[t] = tuple(col >> rows for col in cols[cut[t] :])
+        return (
+            GradedMap(self.shift, {t: cut[t] for t in self.spaces}, heads),
+            GradedMap(self.shift, {t: n - cut[t] for t, n in self.spaces.items()}, tails),
+        )
 
 
 @dataclass

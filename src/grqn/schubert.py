@@ -9,21 +9,23 @@ Their bit-for-bit agreement is the project's main cross-check.
 A Schubert class is the bead word of its partition (see ``young``), and a
 monomial w_1^(r_1)..w_d^(r_d) is a packed int: r_j sits in slot j - 1 of
 ``Grid.slot`` bits, so a product within the top degree is a sum of ints.
-Per-grid state (basis tables, multiplication blocks, the conversion cache
-and each degree's inverse basis change) is kept in a small LRU of
-immutable-once-built contexts; all cached values are deterministic, so
-concurrent use cannot produce divergent results.
+Both bases come from the bead words: lam gives s_lam and the monomial
+with one w_j per column of length j.  Per-grid state (both bases,
+multiplication blocks, the conversion cache and each degree's inverse
+basis change) is kept in a small LRU of immutable-once-built contexts;
+all cached values are deterministic, so concurrent use cannot produce
+divergent results.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import steenrod
 from .homology import GradedMap, column_product, invert
-from .young import lenart_strips, partitions_in_grid, vertical_strips
+from .young import bits, lenart_strips, partitions_in_grid, vertical_strips
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class _GridContext:
         self.index = {t: {w: i for i, w in enumerate(words)} for t, words in self.basis.items()}
         self._pieri: dict[tuple[int, int], tuple[int, ...]] = {}
         self._convert: dict[int, int] = {0: 1}
-        self._monomials: dict[int, list[int]] = {}
         self._inverse: dict[int, list[int]] = {}
 
     def pieri_block(self, j: int, t: int) -> tuple[int, ...]:
@@ -109,37 +110,29 @@ class _GridContext:
             t += j
         return out
 
-    def monomials(self, t: int) -> list[int]:
-        """Degree-t monomial basis, packed: the monomials with at most c factors."""
-        cached = self._monomials.get(t)
-        if cached is not None:
-            return cached
-        c, slot = self.grid.c, self.grid.slot
-        out: list[int] = []
+    @cached_property
+    def monomials(self) -> dict[int, list[int]]:
+        """Packed monomial basis by degree, one per word, in ascending word order.
 
-        def rec(j: int, deg: int, factors: int, u: int) -> None:
-            if j <= 1:
-                # Only w_1^deg ends at degree 0 (and with no generators, only deg = 0).
-                if deg <= j * (c - factors):
-                    out.append(u | deg)
-                return
-            cap = min(deg // j, c - factors)
-            for e in range(cap, -1, -1):
-                rec(j - 1, deg - e * j, factors + e, u | e << slot * (j - 1))
+        The word of lam gives w_1^(lam_1 - lam_2)..w_d^(lam_d): r_j counts the
+        empty slots between beads j - 1 and j (from the top, from 0), and r_d
+        is the lowest bead's slot.  This is a bijection onto the monomials with
+        at most c factors.  In descending order ``invert`` takes over twice as long.
+        """
+        d, slot = self.grid.d, self.grid.slot
 
-        rec(self.grid.d, t, 0, 0)
-        self._monomials[t] = out
-        return out
+        def monomial(w: int) -> int:
+            beads = [*bits(w), -1]
+            return sum(beads[j] - beads[j + 1] - 1 << slot * j for j in range(d))
+
+        return {t: [monomial(w) for w in reversed(words)] for t, words in self.basis.items()}
 
     def inverse(self, t: int) -> list[int]:
         """Columns of the inverse of the degree-t monomial-to-Schubert change."""
         cached = self._inverse.get(t)
         if cached is not None:
             return cached
-        monos = self.monomials(t)
-        if len(monos) != len(self.basis[t]):
-            raise RuntimeError(f"monomial/Schubert basis size mismatch at degree {t}")
-        inv = invert([self.convert(r, t) for r in monos])
+        inv = invert([self.convert(r, t) for r in self.monomials[t]])
         self._inverse[t] = inv
         return inv
 
@@ -188,7 +181,7 @@ def free_operator_matrix(
     for t in range(grid.top_degree - shift + 1):
         s = t + shift
         c_cols = []
-        for r in ctx.monomials(t):
+        for r in ctx.monomials[t]:
             out = 0
             for u in image(r):
                 out ^= ctx.convert(u, s)

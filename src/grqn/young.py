@@ -38,7 +38,7 @@ def partitions_in_grid(d: int, c: int) -> dict[int, list[int]]:
     return buckets
 
 
-def _bits(x: int):
+def bits(x: int):
     """Positions of the set bits of x, highest first."""
     while x:
         p = x.bit_length() - 1
@@ -57,7 +57,7 @@ def vertical_strips(w: int, j: int, m: int) -> list[int]:
     """
     runs = [
         (top, top - (~w & (1 << top) - 1).bit_length())
-        for top in _bits(w << 1 & ~w & (1 << m) - 1)
+        for top in bits(w << 1 & ~w & (1 << m) - 1)
     ]
     room = sum(r for _, r in runs)
     if room < j:
@@ -98,17 +98,17 @@ def lenart_strips(w: int, k: int, d: int, m: int) -> list[int]:
     between = (1 << k - 1) - 1
     out = [
         w ^ (1 << p | 1 << p + k)
-        for p in _bits(moves[k])
+        for p in bits(moves[k])
         if p + d + 1 + (w >> p + 1 & between).bit_count() & 1
     ]
     for k1 in range(1, k):
         lower, k2 = moves[k1], k - k1
         if not lower:
             continue
-        for p2 in _bits(moves[k2]):
+        for p2 in bits(moves[k2]):
             if p2 <= k1:
                 break
             upper = w ^ (1 << p2 | 1 << p2 + k2)
-            for p1 in _bits(lower & (1 << p2 - k1) - 1):
+            for p1 in bits(lower & (1 << p2 - k1) - 1):
                 out.append(upper ^ (1 << p1 | 1 << p1 + k1))
     return out

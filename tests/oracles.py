@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from grqn.cofiber import _full_complex, _ideal_selection, _split_ideal
+from grqn.cofiber import _full_complex, _ideal_cut
 from grqn.formulas import InvalidCell, _binomial_sum, _cofiber_sum, _comb, _grassmannian_sum
 from grqn.homology import GradedMap, _echelon, _kernel_basis
 from grqn.schubert import Grid, _context
@@ -592,7 +592,7 @@ def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
     complementary span carries the complex of the one-step-smaller
     Grassmannian.
     """
-    return _split_ideal(_full_complex(n, grid), grid)
+    return _full_complex(n, grid).restrict(_ideal_cut(grid))
 
 
 def _in_span(v: int, pivots: dict[int, int]) -> bool:
@@ -610,24 +610,49 @@ def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:
     Checks on explicit representatives: every cocycle of the ideal
     subcomplex must be a coboundary of the full complex.
     """
-    full = _full_complex(n, Grid(d, m - d))
-    sel_sub, _ = _ideal_selection(d, m - d)
-    sub = full.restrict(sel_sub)
-    positions = {t: idx for t, idx in sel_sub.items() if idx}
+    grid = Grid(d, m - d)
+    full = _full_complex(n, grid)
+    sub, _ = full.restrict(_ideal_cut(grid))
     for t, dim in sub.spaces.items():
         block = sub.blocks.get(t)
         cocycles = _kernel_basis(block) if block else [1 << j for j in range(dim)]
         if not cocycles:
             continue
         boundaries = _echelon(full.block(t - full.shift))
-        for z in cocycles:
-            embedded = 0
-            for j in range(dim):
-                if z >> j & 1:
-                    embedded |= 1 << positions[t][j]
-            if not _in_span(embedded, boundaries):
-                return False
+        # the ideal's basis is a prefix of the whole basis, so a cocycle's
+        # mask is already its mask in the whole complex
+        if not all(_in_span(z, boundaries) for z in cocycles):
+            return False
     return True
+
+
+def restrict_selection(gm: GradedMap, selection: dict[int, list[int]]) -> GradedMap:
+    """Induced map on the sub-basis picked out per degree by ``selection``.
+
+    Both domain and codomain are cut down; bits outside the selection are
+    dropped, which is the quotient map when the selection is not
+    invariant.  The reference for ``GradedMap.restrict``, which splits at a
+    prefix.
+    """
+    spaces = {t: len(idx) for t, idx in selection.items() if idx}
+    blocks: dict[int, tuple[int, ...]] = {}
+    for t, idx in selection.items():
+        rows = selection.get(t + gm.shift)
+        if not idx or not rows:
+            continue
+        old = gm.blocks.get(t)
+        if old is None:
+            continue
+        cols = []
+        for j in idx:
+            mask = old[j]
+            out = 0
+            for k, r in enumerate(rows):
+                if mask >> r & 1:
+                    out |= 1 << k
+            cols.append(out)
+        blocks[t] = tuple(cols)
+    return GradedMap(gm.shift, spaces, blocks)
 
 
 # --- bit-packed vectors read back as sets --------------------------------------

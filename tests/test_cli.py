@@ -352,13 +352,33 @@ def test_main_cofiber_without_codimension_is_an_error(capsys):
 
 
 def test_main_bad_cell_limit_is_an_error(monkeypatch, capsys):
-    monkeypatch.setenv("GRQN_CELL_LIMIT", "abc")
-    assert_clean_error(capsys, main(["compute", "--n", "1", "--d", "2", "--m", "4"]))
+    for raw in ("abc", "\u00b2"):  # a superscript two is a digit that int() rejects
+        monkeypatch.setenv("GRQN_CELL_LIMIT", raw)
+        code = main(["compute", "--n", "1", "--d", "2", "--m", "4"])
+        assert code == 2
+        assert_clean_error(capsys, code)
 
 
 def test_main_verify_empty_range_is_an_error(tmp_path, capsys):
     cache = tmp_path / "c.jsonl"
     code = main(["verify", "--n", "1", "--d", "3..1", "--c", "1..2", "--cache", str(cache)])
+    assert_clean_error(capsys, code)
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        ["--n", "0", "--d=-2..-1", "--c", "1"],
+        ["--n", "0", "--d", "1", "--c=-3..-1"],
+        ["--n=-1..0", "--d", "1", "--c", "1"],
+    ],
+    ids=["d", "c", "n"],
+)
+def test_main_verify_negative_range_is_an_error(tmp_path, capsys, ranges):
+    cache = tmp_path / "c.jsonl"
+    code = main(["verify", *ranges, "--cache", str(cache)])
+    assert code == 2
     assert_clean_error(capsys, code)
     assert not cache.exists()
 

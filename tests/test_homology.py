@@ -4,8 +4,10 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grqn.cofiber import GridTooSmall, cofiber_homology, twisted_complex
+from grqn.cofiber import GridTooSmall, _ideal_cut, cofiber_homology, twisted_complex
 from grqn.homology import (
     GradedMap,
     HomologyProfile,
@@ -16,7 +18,13 @@ from grqn.homology import (
     qn_homology,
 )
 from grqn.schubert import Grid, lenart_qn_matrix, schubert_basis
-from oracles import ideal_inclusion_induced_zero, ideal_subcomplex, rank
+from oracles import (
+    ideal_inclusion_induced_zero,
+    ideal_subcomplex,
+    partition,
+    rank,
+    restrict_selection,
+)
 
 
 def test_rank_examples():
@@ -207,7 +215,42 @@ def test_graded_map_normalization_and_equality():
 
 
 def test_graded_map_restrict_quotient_drops_rows():
-    gm = GradedMap(1, {0: 2, 1: 2}, {0: (0b01, 0b10)})
-    sub = gm.restrict({0: [0], 1: [1]})
-    assert sub.spaces == {0: 1, 1: 1}
-    assert sub.block(0) == (0,)  # image bit 0 is outside the selection
+    gm = GradedMap(1, {0: 2, 1: 3}, {0: (0b011, 0b111)})
+    head, tail = gm.restrict({0: 1, 1: 1})
+    assert head.spaces == {0: 1, 1: 1}
+    assert head.block(0) == (0b1,)  # image bit 1 is outside the head
+    assert tail.spaces == {0: 1, 1: 2}
+    assert tail.block(0) == (0b11,)  # image bit 0 is in the head, so the quotient drops it
+
+
+@st.composite
+def maps_and_cuts(draw):
+    shift = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(0, 5), min_size=1, max_size=8))
+    blocks = {
+        t: tuple(draw(st.integers(0, (1 << dims[t + shift]) - 1)) for _ in range(n))
+        for t, n in enumerate(dims)
+        if t + shift < len(dims)
+    }
+    cut = {t: draw(st.integers(0, n)) for t, n in enumerate(dims)}
+    return GradedMap(shift, dict(enumerate(dims)), blocks), dims, cut
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_and_cuts())
+def test_restrict_matches_the_selection_reference(case):
+    gm, dims, cut = case
+    head = {t: list(range(k)) for t, k in cut.items()}
+    tail = {t: list(range(cut[t], n)) for t, n in enumerate(dims)}
+    assert gm.restrict(cut) == (restrict_selection(gm, head), restrict_selection(gm, tail))
+
+
+def test_ideal_words_lead_each_degree():
+    # A full first row puts lam's bead in the top slot, so those words come first.
+    for d in range(1, 8):
+        for c in range(1, 8):
+            grid = Grid(d, c)
+            cut = _ideal_cut(grid)
+            for t, words in schubert_basis(grid).items():
+                full_row = [partition(w, d)[:1] == (c,) for w in words]
+                assert full_row == [True] * cut[t] + [False] * (len(words) - cut[t])

@@ -1,10 +1,12 @@
 """Module layering of the package: its own imports form no cycle and load eagerly."""
 
 import ast
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import grqn
+from grqn import young
 
 PACKAGE = Path(grqn.__file__).parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -166,3 +168,44 @@ def test_only_the_lenart_route_walks_ribbons():
                 for target in ("lenart_strips", "lenart_qn_matrix"):
                     assert not list(references(node, target)), f"{name}.{node.name} uses {target}"
         assert seen == defs
+
+
+def self_calls(tree):
+    """Dotted names of the functions that call themselves by name."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if callee == node.name:
+                    yield enclosing(call)
+                    break
+
+
+def test_only_the_bead_walk_calls_itself():
+    # Recursion is bounded by the interpreter's stack: the one allowed walk
+    # nests one call per row below the first.
+    found = {
+        f"{name}.{qual}" for name, path in MODULES.items() for qual in self_calls(parsed(path))
+    }
+    assert found == {"young.partitions_in_grid.rec"}
+    consts = young.partitions_in_grid.__code__.co_consts
+    walk = next(c for c in consts if getattr(c, "co_name", None) == "rec")
+    depth = peak = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, peak
+        if frame.f_code is walk:
+            depth += 1 if event == "call" else -1 if event == "return" else 0
+            peak = max(peak, depth)
+
+    previous = sys.getprofile()
+    for d, c in ((0, 3), (1, 1), (5, 4), (12, 2)):
+        peak = 0
+        sys.setprofile(profile)
+        try:
+            young.partitions_in_grid(d, c)
+        finally:
+            sys.setprofile(previous)
+        assert 1 <= peak <= d + 1, (d, c, peak)

@@ -1,7 +1,7 @@
 """Schubert-basis ring operations against a tableau-based symmetric-function oracle."""
 
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from hypothesis import given, settings
@@ -173,13 +173,34 @@ def test_basis_change_is_invertible():
             ctx = _context(g)
             total = 0
             for t, lams in schubert_basis(g).items():
-                cols = [ctx.convert(u, t) for u in ctx.monomials(t)]
+                cols = [ctx.convert(u, t) for u in ctx.monomials[t]]
                 assert len(cols) == len(lams)
                 assert len(_echelon(cols)) == len(lams)
                 for s, x in enumerate(ctx.inverse(t)):
                     assert sum_of_columns(cols, x) == 1 << s  # the cached inverse
                 total += len(lams)
             assert total == comb(d + c, d)
+
+
+def test_monomials_are_the_exponents_with_at_most_c_factors():
+    # Each monomial is a multiset of at most c generators w_1..w_d.
+    for d in range(8):
+        for c in range(8):
+            grid = Grid(d, c)
+            ctx = _context(grid)
+            expected = {}
+            for k in range(c + 1):
+                for gens in combinations_with_replacement(range(1, d + 1), k):
+                    r = tuple(gens.count(j) for j in range(1, d + 1))
+                    expected.setdefault(sum(gens), []).append(pack(r, grid.slot))
+            assert set(expected) == set(ctx.monomials)
+            for t, monos in ctx.monomials.items():
+                assert len(set(monos)) == len(monos)
+                assert sorted(monos) == sorted(expected[t])
+                # lam gives w_1^(lam_1 - lam_2)..w_d^(lam_d), in ascending word order
+                lams = [(*partition(w, d), *[0] * (d + 1)) for w in reversed(ctx.basis[t])]
+                r = [tuple(lam[j] - lam[j + 1] for j in range(d)) for lam in lams]
+                assert monos == [pack(e, grid.slot) for e in r]
 
 
 def test_dual_classes_die_in_the_quotient():
