@@ -1,8 +1,9 @@
 """Command-line surface: single cells, tables, sweeps, cofiber reports.
 
-Cells are pure computations, so the sweep runs them in a process pool and a
-single writer appends finished records to a JSON-lines cache.  Outputs use a
-fixed field order to stay byte-reproducible.
+Cells are pure computations, so the sweep runs them in a process pool, one
+task per grid so that each grid's context is built once, largest grid first.
+A single writer appends finished records to a JSON-lines cache in that
+dispatch order.  Outputs use a fixed field order to stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from math import comb
 
 from .cofiber import GridTooSmall, cofiber_homology, twisted_complex
@@ -159,12 +161,20 @@ def compute_cell(n: int, d: int, m: int, basis: str = "auto", limit: int | None 
     )
 
 
+def _require_nonempty(name: str, values: range) -> range:
+    if not values:
+        raise UsageError(f"empty {name} range {values.start}..{values.stop - 1}")
+    return values
+
+
 def table_rows(n: int, dmax: int, cmax: int, limit: int | None = None) -> list[dict]:
     """The (d, c) grid of computed totals, with oversize cells predicted only."""
+    d_range = _require_nonempty("d", range(1, dmax + 1))
+    c_range = _require_nonempty("c", range(1, cmax + 1))
     rows = []
     values: dict[tuple[int, int], int] = {}
-    for d in range(1, dmax + 1):
-        for c in range(1, cmax + 1):
+    for d in d_range:
+        for c in c_range:
             try:
                 rec = compute_cell(n, d, d + c, limit=limit)
                 row = {
@@ -277,6 +287,13 @@ def _sweep_cell(args: tuple[int, int, int, int]) -> tuple[str, ResultRecord | st
         return "failed", f"cell n={n} d={d} m={m}: {exc}"
 
 
+def _sweep_grid(
+    cells: list[tuple[int, int, int, int]],
+) -> list[tuple[str, ResultRecord | str | None]]:
+    """One grid's cells in n order, so the grid's context is built once for all."""
+    return [_sweep_cell(cell) for cell in cells]
+
+
 def verify_sweep(
     n_range: range,
     d_range: range,
@@ -287,44 +304,57 @@ def verify_sweep(
 ) -> dict:
     """Evaluate every cell in range, skipping cache hits; append new records.
 
-    Runs at most one worker per CPU.  Each record is written and flushed as
-    soon as its cell is done, in cell order, so an interrupted sweep keeps
-    the cells finished before the interruption.  A cell that raises counts
-    as a mismatch and is reported on stderr; it gets no record, so the next
-    sweep retries it.
+    The cells still to compute are grouped by grid, each grid's cells in n
+    order, and one task per grid runs on at most one worker per CPU, so each
+    grid's context is built once.  Grids go largest basis first, ties in
+    (d, c) order.  A grid's records are written and flushed, in that order,
+    as soon as its task comes back, so an interrupted sweep keeps the grids
+    finished before the interruption, except those held behind one still
+    running.  A cell that raises counts as a mismatch and is reported on
+    stderr; it gets no record, so the next sweep retries it.  A cache that
+    cannot be opened or read is a ``UsageError``, raised before any cell runs.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     for name, values in (("n", n_range), ("d", d_range), ("c", c_range)):
-        if not values:
-            raise UsageError(f"empty {name} range {values.start}..{values.stop - 1}")
+        _require_nonempty(name, values)
     # every cell is valid when the lowest one is
     check_cell(n_range[0], d_range[0], d_range[0] + c_range[0])
     workers = min(jobs, os.cpu_count() or 1)
     cap = cell_limit() if limit is None else limit
-    cache = load_cache(cache_path)
+    try:
+        cache = load_cache(cache_path)
+        _end_on_line_break(cache_path)
+        handle = open(cache_path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot use cache {cache_path}: {exc.strerror}") from exc
     counts = {STATUS_PROVEN: 0, STATUS_CONJECTURE: 0, STATUS_MISMATCH: 0, "Skipped": 0}
     violations = 0
-    todo: list[tuple[int, int, int, int]] = []
-    for n in n_range:
-        for d in d_range:
-            for c in c_range:
-                m = d + c
+    grids: list[list[tuple[int, int, int, int]]] = []
+    for d in d_range:
+        for c in c_range:
+            m = d + c
+            cells = []
+            for n in n_range:
                 key = (n, d, m, default_method(n, d, m))
                 if key in cache:
                     counts[cache[key].status] += 1
                     counts["Skipped"] += 1
                 else:
-                    todo.append((n, d, m, cap))
+                    cells.append((n, d, m, cap))
+            if cells:
+                grids.append(cells)
+    # Largest basis comb(m, d) first (Graham's LPT rule); the sort is
+    # stable, so ties stay in (d, c) order.
+    grids.sort(key=lambda cells: -comb(cells[0][2], cells[0][1]))
 
-    _end_on_line_break(cache_path)
-    with open(cache_path, "a", encoding="utf-8") as handle, ExitStack() as stack:
-        if workers > 1 and len(todo) > 1:
+    with handle, ExitStack() as stack:
+        if workers > 1 and len(grids) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_sweep_cell, todo)
+            results = pool.map(_sweep_grid, grids)
         else:
-            results = map(_sweep_cell, todo)
-        for tag, payload in results:
+            results = map(_sweep_grid, grids)
+        for tag, payload in chain.from_iterable(results):
             if tag == "too_large":
                 counts["Skipped"] += 1
             elif tag == "lower_bound":

@@ -1,7 +1,9 @@
 """Record shapes, CSV/JSON determinism, cache behavior, and exit codes."""
 
 import json
+import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -13,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grqn
-from grqn import cli
+from grqn import cli, schubert
 from grqn.cli import (
     CacheCorrupt,
     CellTooLarge,
     ResultRecord,
+    UsageError,
     cofiber_report,
     compute_cell,
     default_method,
@@ -405,6 +408,30 @@ def test_main_verify_unreadable_cache_is_an_error(tmp_path, capsys, damage):
     assert_clean_error(capsys, code)
 
 
+@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+def test_main_verify_unusable_cache_path_is_an_error(tmp_path, monkeypatch, capsys, where):
+    cache = tmp_path / "missing" / "c.jsonl" if where == "in a missing directory" else tmp_path
+    calls = []
+    monkeypatch.setattr(cli, "compute_cell", lambda *args, **kwargs: calls.append(args))
+    code = main(["verify", "--n", "0", "--d", "1", "--c", "1", "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"grqn: error: cannot use cache {cache}: ")
+    assert "Traceback" not in captured.err
+    assert calls == []
+
+
+@pytest.mark.parametrize("bounds", [("0", "0"), ("-1", "2"), ("2", "0")], ids=["both", "d", "c"])
+def test_main_table_empty_range_is_an_error(capsys, bounds):
+    dmax, cmax = bounds
+    code = main(["table", "--n", "0", "--dmax", dmax, "--cmax", cmax])
+    assert code == 2
+    assert_clean_error(capsys, code)
+    with pytest.raises(UsageError, match="empty . range"):
+        table_rows(0, int(dmax), int(cmax))
+
+
 class RecordingPool:
     """Stands in for the process pool: records its size, maps in process."""
 
@@ -475,7 +502,7 @@ def test_parallel_sweep_keeps_every_cell_but_the_one_that_failed(tmp_path, monke
     assert json.loads(captured.out)["mismatch"] == 1
     assert captured.err == "grqn: cell n=1 d=1 m=4: injected worker failure\n"
     kept = [json.loads(line) for line in read_lines(cache)]
-    assert [r["m"] for r in kept] == [2, 3, 5, 6]
+    assert [r["m"] for r in kept] == [6, 5, 3, 2]
     monkeypatch.setattr(cli, "compute_cell", real)
     retry = verify_sweep(range(1, 2), range(1, 2), range(1, 6), cache_path=cache)
     assert retry["skipped"] == 4 and retry["mismatch"] == 0  # the failed cell is retried
@@ -505,6 +532,73 @@ def records_without_timing(path):
         del record["elapsed_ms"]
         out.append(record)
     return out
+
+
+def count_context_builds(monkeypatch):
+    """Clear the grid-context cache and record every grid built from now on."""
+    built = []
+    init = schubert._GridContext.__init__
+
+    def recording_init(self, grid):
+        built.append(grid)
+        init(self, grid)
+
+    schubert._context.cache_clear()
+    monkeypatch.setattr(schubert._GridContext, "__init__", recording_init)
+    return built
+
+
+SWEEP_25_GRIDS = (range(0, 4), range(1, 6), range(1, 6))  # more grids than the context cache holds
+
+
+def dispatch_order(cell):
+    """The sweep's order: largest basis first, ties by (d, c), then n."""
+    n, d, m = cell
+    return -math.comb(m, d), d, m, n
+
+
+def record_cells(path):
+    return [(r["n"], r["d"], r["m"]) for r in records_without_timing(path)]
+
+
+def test_serial_sweep_builds_each_grid_context_once(tmp_path, monkeypatch):
+    built = count_context_builds(monkeypatch)
+    verify_sweep(*SWEEP_25_GRIDS, cache_path=str(tmp_path / "c.jsonl"))
+    cells = record_cells(tmp_path / "c.jsonl")
+    assert len(cells) == 100
+    grids = list(dict.fromkeys((d, m - d) for n, d, m in cells))
+    assert len(grids) == 25
+    assert [(g.d, g.c) for g in built] == grids
+
+
+def test_resumed_sweep_builds_only_the_grids_with_uncached_cells(tmp_path, monkeypatch):
+    whole = tmp_path / "whole.jsonl"
+    verify_sweep(*SWEEP_25_GRIDS, cache_path=str(whole))
+    lines = read_lines(whole)
+    random.Random(7).shuffle(lines)
+    cache = tmp_path / "half.jsonl"
+    cache.write_text("".join(line + "\n" for line in lines[:50]))
+    built = count_context_builds(monkeypatch)
+    summary = verify_sweep(*SWEEP_25_GRIDS, cache_path=str(cache))
+    assert summary["skipped"] == 50
+    assert read_lines(cache)[:50] == lines[:50]
+    uncached = [(r["n"], r["d"], r["m"]) for r in map(json.loads, lines[50:])]
+    uncached.sort(key=dispatch_order)
+    assert record_cells(cache)[50:] == uncached
+    grids = list(dict.fromkeys((d, m - d) for n, d, m in uncached))
+    assert len(grids) < 25  # the seed leaves some grids wholly cached
+    assert [(g.d, g.c) for g in built] == grids
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_writes_largest_grid_first_each_in_n_order(tmp_path, jobs):
+    cache = tmp_path / "c.jsonl"
+    verify_sweep(range(0, 3), range(1, 4), range(1, 4), jobs=jobs, cache_path=str(cache))
+    cells = [(n, d, d + c) for n in range(3) for d in range(1, 4) for c in range(1, 4)]
+    cells.sort(key=dispatch_order)
+    assert record_cells(cache) == cells
+    # the 3x3 grid has 20 classes, then the 2x3 grid (10) goes before the 3x2 one
+    assert cells[:4] == [(0, 3, 6), (1, 3, 6), (2, 3, 6), (0, 2, 5)]
 
 
 def test_killed_sweep_resumes_to_the_uninterrupted_records(tmp_path, capsys):
