@@ -1,9 +1,10 @@
 """Command-line surface: single cells, tables, sweeps, cofiber reports.
 
-Cells are pure computations, so the sweep runs them in a process pool, one
-task per grid so that each grid's context is built once, largest grid first.
-A single writer appends finished records to a JSON-lines cache in that
-dispatch order.  Outputs use a fixed field order to stay byte-reproducible.
+Cells are pure computations, so the sweep runs them in a process pool, the
+cells of a grid small enough for both routes as one task so that its context
+is built once, longest task first.  A single writer appends finished records
+to a JSON-lines cache in that dispatch order.  Outputs use a fixed field
+order to stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -287,10 +288,10 @@ def _sweep_cell(args: tuple[int, int, int, int]) -> tuple[str, ResultRecord | st
         return "failed", f"cell n={n} d={d} m={m}: {exc}"
 
 
-def _sweep_grid(
+def _sweep_task(
     cells: list[tuple[int, int, int, int]],
 ) -> list[tuple[str, ResultRecord | str | None]]:
-    """One grid's cells in n order, so the grid's context is built once for all."""
+    """One task's cells in n order, so a grid's context is built once for all."""
     return [_sweep_cell(cell) for cell in cells]
 
 
@@ -304,12 +305,15 @@ def verify_sweep(
 ) -> dict:
     """Evaluate every cell in range, skipping cache hits; append new records.
 
-    The cells still to compute are grouped by grid, each grid's cells in n
-    order, and one task per grid runs on at most one worker per CPU, so each
-    grid's context is built once.  Grids go largest basis first, ties in
-    (d, c) order.  A grid's records are written and flushed, in that order,
-    as soon as its task comes back, so an interrupted sweep keeps the grids
-    finished before the interruption, except those held behind one still
+    The cells still to compute go out as tasks to at most one worker per
+    CPU.  A grid small enough for both routes is one task, its cells in n
+    order, so its context is built once; a larger grid, on the Lenart route
+    alone, is one task per cell, so its cells run in parallel.  Tasks go
+    longest first, by cell count times basis size, ties in (d, c, n) order,
+    and their records are written and flushed in that order: run serially,
+    each as soon as its cell is done; in the pool, as soon as its task and
+    every task before it are done.  So an interrupted sweep keeps the cells
+    finished before the interruption, except those held behind a task still
     running.  A cell that raises counts as a mismatch and is reported on
     stderr; it gets no record, so the next sweep retries it.  A cache that
     cannot be opened or read is a ``UsageError``, raised before any cell runs.
@@ -330,7 +334,11 @@ def verify_sweep(
         raise UsageError(f"cannot use cache {cache_path}: {exc.strerror}") from exc
     counts = {STATUS_PROVEN: 0, STATUS_CONJECTURE: 0, STATUS_MISMATCH: 0, "Skipped": 0}
     violations = 0
-    grids: list[list[tuple[int, int, int, int]]] = []
+    # A task is a list of cells.  A grid small enough for both routes is one
+    # task, its cells in n order, so the context the Wu route needs is built
+    # once; a grid on the Lenart route alone, which uses little of it, goes
+    # cell by cell, so its cells run in parallel.
+    tasks: list[list[tuple[int, int, int, int]]] = []
     for d in d_range:
         for c in c_range:
             m = d + c
@@ -342,19 +350,21 @@ def verify_sweep(
                     counts["Skipped"] += 1
                 else:
                     cells.append((n, d, m, cap))
-            if cells:
-                grids.append(cells)
-    # Largest basis comb(m, d) first (Graham's LPT rule); the sort is
-    # stable, so ties stay in (d, c) order.
-    grids.sort(key=lambda cells: -comb(cells[0][2], cells[0][1]))
+            if default_method(0, d, m) != METHOD_BOTH:
+                tasks.extend([cell] for cell in cells)
+            elif cells:
+                tasks.append(cells)
+    # Longest task first (Graham's LPT rule), by cell count times basis size
+    # comb(m, d); the sort is stable, so ties stay in (d, c, n) order.
+    tasks.sort(key=lambda cells: -len(cells) * comb(cells[0][2], cells[0][1]))
 
     with handle, ExitStack() as stack:
-        if workers > 1 and len(grids) > 1:
+        if workers > 1 and len(tasks) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(_sweep_grid, grids)
+            results = chain.from_iterable(pool.map(_sweep_task, tasks))
         else:
-            results = map(_sweep_grid, grids)
-        for tag, payload in chain.from_iterable(results):
+            results = map(_sweep_cell, chain.from_iterable(tasks))
+        for tag, payload in results:
             if tag == "too_large":
                 counts["Skipped"] += 1
             elif tag == "lower_bound":

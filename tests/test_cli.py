@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -436,6 +437,7 @@ class RecordingPool:
     """Stands in for the process pool: records its size, maps in process."""
 
     sizes = []
+    tasks = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -447,6 +449,8 @@ class RecordingPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.tasks.extend(items)
         return map(fn, items)
 
 
@@ -484,6 +488,26 @@ def test_sweep_keeps_records_finished_before_a_crash(tmp_path, monkeypatch, caps
     kept = [json.loads(line) for line in read_lines(cache)]
     assert [(r["n"], r["d"], r["m"]) for r in kept] == calls[:2] + calls[3:]
     assert capsys.readouterr().err == "grqn: cell n=1 d=1 m=4: injected worker failure\n"
+
+
+def test_sweep_flushes_each_record_before_the_next_cell_of_its_grid(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "c.jsonl"
+    real = cli.compute_cell
+    on_disk = []
+
+    def crash_at_n1(n, d, m, **kwargs):
+        on_disk.append(len(read_lines(cache)))
+        if n == 1:
+            raise RuntimeError("injected worker failure")
+        return real(n, d, m, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_cell", crash_at_n1)
+    # one grid, so the failed cell and the cells on either side share it
+    summary = verify_sweep(range(0, 3), range(2, 3), range(2, 3), jobs=1, cache_path=str(cache))
+    assert on_disk == [0, 1, 1]
+    assert summary["mismatch"] == 1
+    assert record_cells(cache) == [(0, 2, 4), (2, 2, 4)]
+    assert capsys.readouterr().err == "grqn: cell n=1 d=2 m=4: injected worker failure\n"
 
 
 def test_parallel_sweep_keeps_every_cell_but_the_one_that_failed(tmp_path, monkeypatch, capsys):
@@ -551,10 +575,12 @@ def count_context_builds(monkeypatch):
 SWEEP_25_GRIDS = (range(0, 4), range(1, 6), range(1, 6))  # more grids than the context cache holds
 
 
-def dispatch_order(cell):
-    """The sweep's order: largest basis first, ties by (d, c), then n."""
-    n, d, m = cell
-    return -math.comb(m, d), d, m, n
+def dispatch_order(cells):
+    """The sweep's order for grids small enough for both routes: a grid's
+    cells together in n order, grids by cell count times basis size, largest
+    first, ties by (d, c)."""
+    per_grid = Counter((d, m) for n, d, m in cells)
+    return sorted(cells, key=lambda cell: (-per_grid[cell[1:]] * math.comb(cell[2], cell[1]), cell[1:], cell[0]))
 
 
 def record_cells(path):
@@ -582,20 +608,39 @@ def test_resumed_sweep_builds_only_the_grids_with_uncached_cells(tmp_path, monke
     summary = verify_sweep(*SWEEP_25_GRIDS, cache_path=str(cache))
     assert summary["skipped"] == 50
     assert read_lines(cache)[:50] == lines[:50]
-    uncached = [(r["n"], r["d"], r["m"]) for r in map(json.loads, lines[50:])]
-    uncached.sort(key=dispatch_order)
+    uncached = dispatch_order([(r["n"], r["d"], r["m"]) for r in map(json.loads, lines[50:])])
+    by_basis_alone = sorted(uncached, key=lambda cell: (-math.comb(cell[2], cell[1]), cell[1:], cell[0]))
+    assert uncached != by_basis_alone  # the uncached cells per grid weigh in
     assert record_cells(cache)[50:] == uncached
     grids = list(dict.fromkeys((d, m - d) for n, d, m in uncached))
     assert len(grids) < 25  # the seed leaves some grids wholly cached
     assert [(g.d, g.c) for g in built] == grids
 
 
+def test_pool_gets_a_grid_on_both_routes_whole_and_a_larger_grid_cell_by_cell(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "BOTH_METHOD_LIMIT", 5)  # the 2x2 grid, C(4, 2) = 6, is Lenart only
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.tasks.clear()
+    cache = tmp_path / "c.jsonl"
+    verify_sweep(range(0, 2), range(1, 3), range(1, 3), jobs=2, cache_path=str(cache))
+    tasks = [[cell[:3] for cell in task] for task in RecordingPool.tasks]
+    # two cells of basis 3 weigh as much as one of basis 6; ties in (d, c, n) order
+    assert tasks == [
+        [(0, 1, 3), (1, 1, 3)],
+        [(0, 2, 3), (1, 2, 3)],
+        [(0, 2, 4)],
+        [(1, 2, 4)],
+        [(0, 1, 2), (1, 1, 2)],
+    ]
+    assert record_cells(cache) == [cell for task in tasks for cell in task]
+    assert {r["method"] for r in records_without_timing(cache) if r["m"] == 4} == {"Lenart"}
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_writes_largest_grid_first_each_in_n_order(tmp_path, jobs):
     cache = tmp_path / "c.jsonl"
     verify_sweep(range(0, 3), range(1, 4), range(1, 4), jobs=jobs, cache_path=str(cache))
-    cells = [(n, d, d + c) for n in range(3) for d in range(1, 4) for c in range(1, 4)]
-    cells.sort(key=dispatch_order)
+    cells = dispatch_order([(n, d, d + c) for n in range(3) for d in range(1, 4) for c in range(1, 4)])
     assert record_cells(cache) == cells
     # the 3x3 grid has 20 classes, then the 2x3 grid (10) goes before the 3x2 one
     assert cells[:4] == [(0, 3, 6), (1, 3, 6), (2, 3, 6), (0, 2, 5)]
