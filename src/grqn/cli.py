@@ -22,7 +22,7 @@ from math import comb
 
 from .cofiber import GridTooSmall, cofiber_homology, twisted_complex
 from .formulas import InvalidCell, check_cell, predicted_cofiber_k, predicted_delta_rank, predicted_k
-from .homology import qn_homology
+from .homology import HomologyProfile, qn_homology
 from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
 
 CELL_LIMIT_ENV = "GRQN_CELL_LIMIT"
@@ -55,6 +55,10 @@ class CacheCorrupt(RuntimeError):
 
 class LowerBoundViolation(RuntimeError):
     """A computed total fell below the proven lower bound; this is a bug."""
+
+
+class InvariantViolation(RuntimeError):
+    """A computed profile breaks parity or, for even m, duality; this is a bug."""
 
 
 @dataclass
@@ -123,8 +127,27 @@ def _check_size(d: int, m: int, limit: int | None) -> None:
         raise CellTooLarge(f"basis size {size} exceeds limit {cap}")
 
 
+def _check_invariants(n: int, d: int, m: int, profile: HomologyProfile) -> None:
+    """Parity and, for even m, Poincare duality of a cell's homology.
+
+    The basis size minus the total is twice the sum of the ranks.  For even
+    m the primitive class p_(2^(n+1)-1) of the tangent bundle is m times
+    that of the tautological bundle, so zero, and Q_n is self-adjoint under
+    the Poincare pairing: H^t = H^(dc - t).
+    """
+    if (comb(m, d) - profile.total) % 2:
+        raise InvariantViolation(f"odd defect {comb(m, d)} - {profile.total} at n={n} d={d} m={m}")
+    if m % 2 == 0:
+        top = d * (m - d)
+        for t, h in profile.per_degree.items():
+            if profile.dim(top - t) != h:
+                raise InvariantViolation(
+                    f"H^{t} = {h} but H^{top - t} = {profile.dim(top - t)} at n={n} d={d} m={m}"
+                )
+
+
 def compute_cell(n: int, d: int, m: int, basis: str = "auto", limit: int | None = None) -> ResultRecord:
-    """Build the cell's differential, take homology, compare with prediction."""
+    """Build the cell's differential, take homology, check it, compare with prediction."""
     check_cell(n, d, m)
     _check_size(d, m, limit)
     method = {
@@ -143,6 +166,7 @@ def compute_cell(n: int, d: int, m: int, basis: str = "auto", limit: int | None 
         raise LowerBoundViolation(
             f"computed {computed} < lower bound {predicted} at n={n} d={d} m={m}"
         )
+    _check_invariants(n, d, m, profile)
     if computed != predicted:
         status = STATUS_MISMATCH
     elif m <= 2 ** (n + 1) or d <= 2:
@@ -276,6 +300,13 @@ def _end_on_line_break(path: str) -> None:
             handle.write(b"\n")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says so."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_cell(args: tuple[int, int, int, int]) -> tuple[str, ResultRecord | str | None]:
     n, d, m, cap = args
     try:
@@ -305,18 +336,19 @@ def verify_sweep(
 ) -> dict:
     """Evaluate every cell in range, skipping cache hits; append new records.
 
-    The cells still to compute go out as tasks to at most one worker per
-    CPU.  A grid small enough for both routes is one task, its cells in n
-    order, so its context is built once; a larger grid, on the Lenart route
-    alone, is one task per cell, so its cells run in parallel.  Tasks go
-    longest first, by cell count times basis size, ties in (d, c, n) order,
-    and their records are written and flushed in that order: run serially,
-    each as soon as its cell is done; in the pool, as soon as its task and
-    every task before it are done.  So an interrupted sweep keeps the cells
-    finished before the interruption, except those held behind a task still
-    running.  A cell that raises counts as a mismatch and is reported on
-    stderr; it gets no record, so the next sweep retries it.  A cache that
-    cannot be opened or read is a ``UsageError``, raised before any cell runs.
+    The cells still to compute go out as tasks to at most one worker per CPU
+    the process may run on.  A grid small enough for both routes is one task,
+    its cells in n order, so its context is built once; a larger grid, on
+    the Lenart route alone, is one task per cell, so its cells run in
+    parallel.  Tasks go longest first, by cell count times basis size, ties
+    in (d, c, n) order, and their records are written and flushed in that
+    order: run serially, each as soon as its cell is done; in the pool, as
+    soon as its task and every task before it are done.  So an interrupted
+    sweep keeps the cells finished before the interruption, except those
+    held behind a task still running.  A cell that raises counts as a
+    mismatch and is reported on stderr; it gets no record, so the next sweep
+    retries it.  A cache that cannot be opened or read is a ``UsageError``,
+    raised before any cell runs.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
@@ -324,7 +356,7 @@ def verify_sweep(
         _require_nonempty(name, values)
     # every cell is valid when the lowest one is
     check_cell(n_range[0], d_range[0], d_range[0] + c_range[0])
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, _usable_cpus())
     cap = cell_limit() if limit is None else limit
     try:
         cache = load_cache(cache_path)

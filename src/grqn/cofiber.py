@@ -47,17 +47,12 @@ def twisted_complex(n: int, d: int, m: int) -> GradedMap:
         raise GridTooSmall(f"twisted complex needs d >= 1 and m > d, got d={d} m={m}")
     shift = 2 ** (n + 1) - 1
     grid = Grid(d - 1, m - d)
-    q_image = schubert.derivation_image(n, grid)
+    parts = schubert.derivation_parts(n, grid)
     # a has degree shift: the map needs it, and it packs exactly, only when
     # the map has a block.
-    twist = set()
     if shift <= grid.top_degree:
-        twist = steenrod.power_sums(grid.d, grid.slot, shift)[shift]
-
-    def image(r: int) -> list[int]:
-        return q_image(r) + [r + a for a in twist]
-
-    return schubert.free_operator_matrix(grid, shift, image)
+        parts.append((None, steenrod.power_sums(grid.d, grid.slot, shift)[shift]))
+    return schubert.free_operator_matrix(grid, shift, parts)
 
 
 def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:

@@ -19,13 +19,13 @@ divergent results.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import steenrod
 from .homology import GradedMap, column_product, invert
-from .young import bits, lenart_strips, partitions_in_grid, vertical_strips
+from .young import bits, lenart_strips, partitions_in_grid, vertical_strips_by_size
 
 
 @dataclass(frozen=True)
@@ -65,50 +65,58 @@ class _GridContext:
         self.grid = grid
         self.basis = partitions_in_grid(grid.d, grid.c)
         self.index = {t: {w: i for i, w in enumerate(words)} for t, words in self.basis.items()}
-        self._pieri: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._convert: dict[int, int] = {0: 1}
+        self._pieri: dict[int, list[tuple[int, ...]]] = {}
+        self._convert: dict[int, dict[int, int]] = {0: {0: 1}}
         self._inverse: dict[int, list[int]] = {}
 
     def pieri_block(self, j: int, t: int) -> tuple[int, ...]:
-        """Columns of multiplication by w_j from degree t to degree t + j."""
-        key = (j, t)
-        cached = self._pieri.get(key)
-        if cached is not None:
-            return cached
-        target, m = self.index.get(t + j, {}), self.grid.m
-        block = tuple(
-            sum(1 << target[mu] for mu in vertical_strips(word, j, m))
-            for word in self.basis.get(t, [])
-        )
-        self._pieri[key] = block
-        return block
+        """Columns of multiplication by w_j, 1 <= j <= d, from degree t to degree t + j.
 
-    def convert(self, u: int, t: int) -> int:
-        """Bitmask of the Schubert expansion of the degree-t packed monomial u.
+        The first call at degree t fills every j from one all-sizes strip
+        walk per word.
+        """
+        blocks = self._pieri.get(t)
+        if blocks is None:
+            d, words = self.grid.d, self.basis.get(t, [])
+            targets = [self.index.get(t + j, {}) for j in range(d + 1)]
+            columns = [[0] * len(words) for _ in range(d + 1)]
+            for i, word in enumerate(words):
+                by_size = vertical_strips_by_size(word, self.grid.m)
+                for k in range(1, len(by_size)):
+                    target = targets[k]
+                    columns[k][i] = sum(1 << target[mu] for mu in by_size[k])
+            blocks = self._pieri[t] = [tuple(cols) for cols in columns]
+        return blocks[j]
 
-        Zero when the image dies in the quotient.  Peels the top generator
-        down to a monomial already converted, then multiplies back up one
-        Pieri block at a time, caching every prefix on the way.
+    def product(self, chain: dict[int, dict[int, int]], u: int, t: int, last: int = 0) -> int:
+        """Bitmask of w^u times the chain's base, a product of degree t.
+
+        ``chain`` caches products by degree, each bucket by cofactor; it
+        starts as ``{t0: {0: base}}``, with ``base`` the mask of a class of
+        degree t0.  Zero when the product dies in the quotient.  Peels the
+        top generator down to a cofactor already cached, then multiplies
+        back up one Pieri block at a time, caching every prefix on the way.
+        ``last`` is the packed unit of a generator to peel only when no
+        other is left, or 0.
         """
         if t > self.grid.top_degree:
             return 0
-        cache = self._convert
-        out = cache.get(u)
-        if out is not None:
-            return out
         slot = self.grid.slot
+        rest = ~(last * ((1 << slot) - 1))
         peeled = []
-        while out is None:
-            j = (u.bit_length() - 1) // slot + 1
-            peeled.append((u, j))
+        while (out := chain.setdefault(t, {}).get(u)) is None:
+            j = ((u & rest or u).bit_length() - 1) // slot + 1
+            peeled.append((u, j, t))
             u -= 1 << slot * (j - 1)
             t -= j
-            out = cache.get(u)
-        for v, j in reversed(peeled):
-            out = column_product(self.pieri_block(j, t), out)
-            cache[v] = out
-            t += j
+        for v, j, s in reversed(peeled):
+            out = column_product(self.pieri_block(j, s - j), out)
+            chain[s][v] = out
         return out
+
+    def convert(self, u: int, t: int) -> int:
+        """Bitmask of the Schubert expansion of the degree-t packed monomial u."""
+        return self.product(self._convert, u, t)
 
     @cached_property
     def monomials(self) -> dict[int, list[int]]:
@@ -166,52 +174,65 @@ def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:
 
 
 def free_operator_matrix(
-    grid: Grid, shift: int, image: Callable[[int], Iterable[int]]
+    grid: Grid, shift: int, parts: list[tuple[int | None, Iterable[int]]]
 ) -> GradedMap:
     """Matrix of a free-ring operator pushed to the Schubert basis.
 
-    ``image`` maps a packed basis monomial of degree t to the packed terms of
-    its value, all of degree t + shift, with multiplicity: conversion is
-    linear over F_2, so the terms' masks are XORed.  The result is conjugated
-    through the grid's basis change, inverted once per degree and kept.
+    The operator is a sum of parts, each a packed polynomial p with a
+    generator j or None: (j, p) sends a monomial w^r with r_j odd to
+    w^(r - e_j) * p and every other monomial to 0, and (None, p) sends w^r
+    to w^r * p.  Each p has degree shift, plus j for a generator.  It is
+    converted to the Schubert basis once, and the products are reached from
+    it through the Pieri chain walk, output degree by output degree: after
+    degree s no later product has a direct prefix of degree s - d or less,
+    so those buckets are dropped.  The result is conjugated through the
+    grid's basis change, inverted once per degree and kept.
     """
     ctx = _context(grid)
+    slot, d = grid.slot, grid.d
     spaces = {t: len(words) for t, words in ctx.basis.items()}
+    # (bit, t0, chain): w^r takes part in the chain iff it holds bit, the
+    # low bit of r_j (0 for no generator), and its cofactor is w^r - bit.
+    # Peeling w_j last, a cofactor's prefix is the cofactor of a smaller
+    # basis monomial, cached at most d degrees below.
+    chains = []
+    for j, poly in parts:
+        t0 = shift + (j or 0)
+        base = 0
+        for v in poly:
+            base ^= ctx.convert(v, t0)
+        if base:
+            chains.append((1 << slot * (j - 1) if j else 0, t0, {t0: {0: base}}))
     blocks: dict[int, tuple[int, ...]] = {}
     for t in range(grid.top_degree - shift + 1):
         s = t + shift
         c_cols = []
         for r in ctx.monomials[t]:
             out = 0
-            for u in image(r):
-                out ^= ctx.convert(u, s)
+            for bit, _, chain in chains:
+                if r & bit == bit:
+                    out ^= ctx.product(chain, r - bit, s, bit)
             c_cols.append(out)
         blocks[t] = tuple(column_product(c_cols, x) for x in ctx.inverse(t))
+        for _, t0, chain in chains:
+            for k in [k for k in chain if t0 < k <= s - d]:
+                del chain[k]
     return GradedMap(shift, spaces, blocks)
 
 
-def derivation_image(n: int, grid: Grid) -> Callable[[int], list[int]]:
-    """Q_n on the grid's packed monomials, extended from generators as a derivation.
+def derivation_parts(n: int, grid: Grid) -> list[tuple[int | None, set[int]]]:
+    """Q_n on the grid's monomials as a derivation: the part (j, Q_n(w_j)) per generator.
 
-    The image of w^r lists w^(r - e_j) * Q_n(w_j) over each j with r_j odd.
+    Q_n(w^r) is the sum of w^(r - e_j) * Q_n(w_j) over each j with r_j odd.
     Generators whose image passes the top degree appear in no image the
     matrix needs, so their images are never built.
     """
     if n < 0:
         raise ValueError(f"primitive index must be nonnegative, got {n}")
-    count, slot = min(grid.d, grid.top_degree - 2 ** (n + 1) + 1), grid.slot
-    gens = [
-        (slot * j, 1 << slot * j, terms)
-        for j, terms in enumerate(steenrod.milnor_q_generators(n, grid.d, slot, count))
-    ]
-
-    def image(r: int) -> list[int]:
-        return [r - unit + v for offset, unit, terms in gens if r >> offset & 1 for v in terms]
-
-    return image
+    count = min(grid.d, grid.top_degree - 2 ** (n + 1) + 1)
+    return list(enumerate(steenrod.milnor_q_generators(n, grid.d, grid.slot, count), start=1))
 
 
 def derivation_qn_matrix(n: int, grid: Grid) -> GradedMap:
     """The primitive's matrix from the derivation route."""
-    image = derivation_image(n, grid)
-    return free_operator_matrix(grid, 2 ** (n + 1) - 1, image)
+    return free_operator_matrix(grid, 2 ** (n + 1) - 1, derivation_parts(n, grid))

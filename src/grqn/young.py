@@ -46,32 +46,24 @@ def bits(x: int):
         x ^= 1 << p
 
 
-def vertical_strips(w: int, j: int, m: int) -> list[int]:
-    """Words of the partitions made from w by adding j >= 1 boxes, at most one per row.
+def vertical_strips_by_size(w: int, m: int) -> list[list[int]]:
+    """Words of the partitions made from w by adding boxes, at most one per row, by size.
 
-    Each run of consecutive beads whose next slot ``top`` is empty (and
-    inside the word) can move its top s beads up one slot, which moves bit
-    top - s to bit top.  The walk takes the runs from the highest down and
-    keeps only the choices that the runs below have room to complete; the
-    lowest run takes what is left.
+    Entry j lists the words with j more boxes, from w itself at 0 up to
+    the most boxes that fit.  Each run of consecutive beads whose next slot
+    ``top`` is empty (and inside the word) can move its top s beads up one
+    slot, which moves bit top - s to bit top, whatever the other runs do.
     """
-    runs = [
-        (top, top - (~w & (1 << top) - 1).bit_length())
-        for top in bits(w << 1 & ~w & (1 << m) - 1)
-    ]
-    room = sum(r for _, r in runs)
-    if room < j:
-        return []
-    last, _ = runs.pop()
-    words = [(w, j)]
-    for top, r in runs:
-        room -= r
-        words = [
-            (v ^ (1 << top ^ 1 << top - s), rem - s)
-            for v, rem in words
-            for s in range(max(0, rem - room), min(r, rem) + 1)
-        ]
-    return [v ^ (1 << last ^ 1 << last - rem) for v, rem in words]
+    by_size = [[w]]
+    for top in bits(w << 1 & ~w & (1 << m) - 1):
+        run = top - (~w & (1 << top) - 1).bit_length()
+        grown: list[list[int]] = [[] for _ in range(len(by_size) + run)]
+        for size, words in enumerate(by_size):
+            for s in range(run + 1):
+                move = 1 << top ^ 1 << top - s
+                grown[size + s] += [v ^ move for v in words]
+        by_size = grown
+    return by_size
 
 
 def lenart_strips(w: int, k: int, d: int, m: int) -> list[int]:

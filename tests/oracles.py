@@ -13,19 +13,25 @@ commutator-recursion primitives is the reference for the library's
 power-sum closed forms on packed monomials; ``pack`` translates a tuple
 monomial into the library's packed int.  The closed-form identities and the
 cofiber's induced-map check below have no caller in the CLI.
+
+The per-term Wu route converts every term w^(r - e_j) * v of every image
+on its own, and ``vertical_strips`` lists the strips of one size; the
+library converts each generator image once and walks the strips of all
+sizes at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
+from grqn import steenrod
 from grqn.cofiber import _full_complex, _ideal_cut
 from grqn.formulas import InvalidCell, _binomial_sum, _cofiber_sum, _comb, _grassmannian_sum
-from grqn.homology import GradedMap, _echelon, _kernel_basis
+from grqn.homology import GradedMap, _echelon, _kernel_basis, column_product
 from grqn.schubert import Grid, _context
-from grqn.young import partitions_in_grid
+from grqn.young import bits, partitions_in_grid
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
@@ -671,6 +677,96 @@ def schubert_support(p: Polynomial, grid: Grid) -> set[Partition]:
         t = monomial_degree(r)
         out ^= decode(ctx.convert(pack(r, grid.slot), t), ctx.basis.get(t, []))
     return {partition(w, grid.d) for w in out}
+
+
+# --- the per-term Wu route and one-size vertical strips --------------------------
+
+
+def vertical_strips(w: int, j: int, m: int) -> list[int]:
+    """Words of the partitions made from w by adding j >= 1 boxes, at most one per row.
+
+    Each run of consecutive beads whose next slot ``top`` is empty (and
+    inside the word) can move its top s beads up one slot, which moves bit
+    top - s to bit top.  The walk takes the runs from the highest down and
+    keeps only the choices that the runs below have room to complete; the
+    lowest run takes what is left.
+    """
+    runs = [
+        (top, top - (~w & (1 << top) - 1).bit_length())
+        for top in bits(w << 1 & ~w & (1 << m) - 1)
+    ]
+    room = sum(r for _, r in runs)
+    if room < j:
+        return []
+    last, _ = runs.pop()
+    words = [(w, j)]
+    for top, r in runs:
+        room -= r
+        words = [
+            (v ^ (1 << top ^ 1 << top - s), rem - s)
+            for v, rem in words
+            for s in range(max(0, rem - room), min(r, rem) + 1)
+        ]
+    return [v ^ (1 << last ^ 1 << last - rem) for v, rem in words]
+
+
+def derivation_image(n: int, grid: Grid) -> Callable[[int], list[int]]:
+    """Q_n on the grid's packed monomials, extended from generators as a derivation.
+
+    The image of w^r lists w^(r - e_j) * v over each j with r_j odd and
+    each term v of Q_n(w_j).
+    """
+    if n < 0:
+        raise ValueError(f"primitive index must be nonnegative, got {n}")
+    count, slot = min(grid.d, grid.top_degree - 2 ** (n + 1) + 1), grid.slot
+    gens = [
+        (slot * j, 1 << slot * j, terms)
+        for j, terms in enumerate(steenrod.milnor_q_generators(n, grid.d, slot, count))
+    ]
+
+    def image(r: int) -> list[int]:
+        return [r - unit + v for offset, unit, terms in gens if r >> offset & 1 for v in terms]
+
+    return image
+
+
+def per_term_operator_matrix(
+    grid: Grid, shift: int, image: Callable[[int], Iterable[int]]
+) -> GradedMap:
+    """A free-ring operator's Schubert matrix, every term of every image converted on its own.
+
+    ``image`` maps a packed basis monomial of degree t to the packed terms of
+    its value, all of degree t + shift, with multiplicity.
+    """
+    ctx = _context(grid)
+    spaces = {t: len(words) for t, words in ctx.basis.items()}
+    blocks: dict[int, tuple[int, ...]] = {}
+    for t in range(grid.top_degree - shift + 1):
+        s = t + shift
+        c_cols = []
+        for r in ctx.monomials[t]:
+            out = 0
+            for u in image(r):
+                out ^= ctx.convert(u, s)
+            c_cols.append(out)
+        blocks[t] = tuple(column_product(c_cols, x) for x in ctx.inverse(t))
+    return GradedMap(shift, spaces, blocks)
+
+
+def per_term_derivation_matrix(n: int, grid: Grid) -> GradedMap:
+    """The derivation route's matrix, term by term."""
+    return per_term_operator_matrix(grid, 2 ** (n + 1) - 1, derivation_image(n, grid))
+
+
+def per_term_twisted_complex(n: int, d: int, m: int) -> GradedMap:
+    """The cofiber's twisted complex Q_n(x) + x * a, term by term."""
+    shift = 2 ** (n + 1) - 1
+    grid = Grid(d - 1, m - d)
+    q_image = derivation_image(n, grid)
+    twist = set()
+    if shift <= grid.top_degree:
+        twist = steenrod.power_sums(grid.d, grid.slot, shift)[shift]
+    return per_term_operator_matrix(grid, shift, lambda r: q_image(r) + [r + a for a in twist])
 
 
 # --- dense linear algebra and the total square -----------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from grqn import cli, schubert
 from grqn.cli import (
     CacheCorrupt,
     CellTooLarge,
+    InvariantViolation,
     ResultRecord,
     UsageError,
     cofiber_report,
@@ -34,7 +36,7 @@ from grqn.cli import (
 )
 from grqn.cofiber import twisted_complex
 from grqn.formulas import InvalidCell
-from grqn.homology import GradedMap
+from grqn.homology import GradedMap, HomologyProfile
 
 GOLDEN_2X2 = (
     "d,c,value,status,method\n"
@@ -74,6 +76,42 @@ def test_compute_cell_validates_input():
 def test_compute_cell_respects_limit():
     with pytest.raises(CellTooLarge):
         compute_cell(1, 2, 5, limit=5)
+
+
+def plant_profile(monkeypatch, per_degree):
+    """Make every cell's homology come out as ``per_degree``."""
+    profile = HomologyProfile(per_degree, sum(per_degree.values()))
+    monkeypatch.setattr(cli, "qn_homology", lambda gm: profile)
+
+
+@pytest.mark.parametrize(
+    "m, planted, message",
+    [
+        (3, {0: 1, 2: 1}, "odd defect 3 - 2"),  # RP^2 has H = {0: 1}
+        (4, {0: 1, 1: 1}, "H^0 = 1 but H^3 = 0"),  # RP^3 has H = {0: 1, 3: 1}
+    ],
+    ids=["parity", "duality"],
+)
+def test_compute_cell_rejects_a_broken_profile(monkeypatch, tmp_path, capsys, m, planted, message):
+    assert compute_cell(0, 1, m).computed_total in (1, 2)  # the real profile passes
+    plant_profile(monkeypatch, planted)
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        compute_cell(0, 1, m)
+    # in a sweep the cell counts as a mismatch and gets no record
+    cache = tmp_path / "c.jsonl"
+    summary = verify_sweep(range(0, 1), range(1, 2), range(m - 1, m), cache_path=str(cache))
+    assert summary["mismatch"] == 1
+    assert message in capsys.readouterr().err
+    assert cache.read_text() == ""
+
+
+def test_verify_jobs_fall_back_to_cpu_count_without_affinity(tmp_path, monkeypatch):
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.sizes.clear()
+    verify_sweep(range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl"))
+    assert RecordingPool.sizes == [3]
 
 
 def test_cell_limit_env_override(monkeypatch):
@@ -455,7 +493,10 @@ class RecordingPool:
 
 
 def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    # The usable CPUs are the affinity set where there is one: cpu_count
+    # counts CPUs the process may not run on.
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.sizes.clear()
     summary = verify_sweep(

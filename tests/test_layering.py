@@ -144,7 +144,7 @@ WU_ROUTE = {
     "schubert": {
         "_GridContext",
         "free_operator_matrix",
-        "derivation_image",
+        "derivation_parts",
         "derivation_qn_matrix",
     },
     "cofiber": {"twisted_complex"},

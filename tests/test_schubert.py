@@ -7,6 +7,7 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grqn.cofiber import twisted_complex
 from grqn.homology import _echelon
 from grqn.schubert import Grid, _context, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
 from oracles import (
@@ -18,6 +19,8 @@ from oracles import (
     monomial_degree,
     pack,
     partition,
+    per_term_derivation_matrix,
+    per_term_twisted_complex,
     schubert_support,
     transpose,
     word,
@@ -290,6 +293,31 @@ def test_point_grid_is_trivial():
         assert gm.spaces == {0: 1}
         assert gm.is_zero()
         assert derivation_qn_matrix(n, Grid(3, 0)) == gm
+
+
+# --- the Wu route against the per-term conversion ----------------------------
+
+
+def test_wu_route_matches_the_per_term_route_on_small_grids():
+    # Each generator image converted once and carried up Pieri chains gives
+    # the same matrices as converting every term of every image on its own.
+    for n in range(4):
+        for d in range(7):
+            for c in range(7):
+                g = Grid(d, c)
+                assert derivation_qn_matrix(n, g) == per_term_derivation_matrix(n, g), (n, d, c)
+                if c:
+                    m = d + 1 + c  # the twisted complex of Gr_(d+1)(R^m) lives on this grid
+                    assert twisted_complex(n, d + 1, m) == per_term_twisted_complex(n, d + 1, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 7), st.integers(0, 7))
+def test_wu_route_matches_the_per_term_route_property(n, d, c):
+    g = Grid(d, c)
+    assert derivation_qn_matrix(n, g) == per_term_derivation_matrix(n, g)
+    if c:
+        assert twisted_complex(n, d + 1, d + 1 + c) == per_term_twisted_complex(n, d + 1, d + 1 + c)
 
 
 def test_lenart_matrix_commutes_with_conjugation():

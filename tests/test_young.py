@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grqn.young import lenart_strips, partitions_in_grid, vertical_strips
+from grqn.young import lenart_strips, partitions_in_grid, vertical_strips_by_size
 from oracles import (
     DULL,
     SHARP,
@@ -26,6 +26,7 @@ from oracles import (
     partition,
     skew,
     transpose,
+    vertical_strips,
     word,
 )
 
@@ -326,3 +327,19 @@ def test_vertical_strips_match_the_filtered_candidates_exhaustively():
                         if all(v - padded[i] <= 1 for i, v in enumerate(mu))
                     ]
                     assert sorted(got) == sorted(expected), (lam, j, d, c)
+
+
+def test_strips_of_all_sizes_match_the_one_size_walk():
+    # The all-sizes walk, grouped by size, against the one-size walk for every j.
+    for d in range(7):
+        for c in range(7):
+            m = d + c
+            for words in partitions_in_grid(d, c).values():
+                for w in words:
+                    by_size = vertical_strips_by_size(w, m)
+                    assert by_size[0] == [w]
+                    for j in range(1, d + 2):
+                        got = by_size[j] if j < len(by_size) else []
+                        assert len(got) == len(set(got)), (w, j, d, c)
+                        assert sorted(got) == sorted(vertical_strips(w, j, m)), (w, j, d, c)
+                    assert len(by_size) <= d + 1
