@@ -10,11 +10,12 @@ A Schubert class is the bead word of its partition (see ``young``), and a
 monomial w_1^(r_1)..w_d^(r_d) is a packed int: r_j sits in slot j - 1 of
 ``Grid.slot`` bits, so a product within the top degree is a sum of ints.
 Both bases come from the bead words: lam gives s_lam and the monomial
-with one w_j per column of length j.  Per-grid state (both bases,
-multiplication blocks, the conversion cache and each degree's inverse
-basis change) is kept in a small LRU of immutable-once-built contexts;
-all cached values are deterministic, so concurrent use cannot produce
-divergent results.
+with one w_j per column of length j.  One dict gives every word its place
+in its degree, the bit it sets in a column, as a word fixes its degree.
+Per-grid state (both bases, that index, multiplication blocks, the
+conversion cache and each degree's inverse basis change) is kept in a
+small LRU of immutable-once-built contexts; all cached values are
+deterministic, so concurrent use cannot produce divergent results.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cached_property, lru_cache
 
 from . import steenrod
 from .homology import GradedMap, column_product, invert
-from .young import bits, lenart_strips, partitions_in_grid, vertical_strips_by_size
+from .young import bits, lenart_strips, partitions_in_grid, sized_vertical_strips
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,9 @@ class _GridContext:
 
     def __init__(self, grid: Grid) -> None:
         self.grid = grid
+        self.top_degree, self.slot = grid.top_degree, grid.slot
         self.basis = partitions_in_grid(grid.d, grid.c)
-        self.index = {t: {w: i for i, w in enumerate(words)} for t, words in self.basis.items()}
+        self.index = {w: i for words in self.basis.values() for i, w in enumerate(words)}
         self._pieri: dict[int, list[tuple[int, ...]]] = {}
         self._convert: dict[int, dict[int, int]] = {0: {0: 1}}
         self._inverse: dict[int, list[int]] = {}
@@ -72,20 +74,20 @@ class _GridContext:
     def pieri_block(self, j: int, t: int) -> tuple[int, ...]:
         """Columns of multiplication by w_j, 1 <= j <= d, from degree t to degree t + j.
 
-        The first call at degree t fills every j from one all-sizes strip
-        walk per word.
+        The first call at degree t fills every j in one pass per word: each
+        (size, mu) pair of its strip walk sets mu's bit in the word's entry
+        for that size, and the rows of entries transpose into the blocks.
         """
         blocks = self._pieri.get(t)
         if blocks is None:
-            d, words = self.grid.d, self.basis.get(t, [])
-            targets = [self.index.get(t + j, {}) for j in range(d + 1)]
-            columns = [[0] * len(words) for _ in range(d + 1)]
-            for i, word in enumerate(words):
-                by_size = vertical_strips_by_size(word, self.grid.m)
-                for k in range(1, len(by_size)):
-                    target = targets[k]
-                    columns[k][i] = sum(1 << target[mu] for mu in by_size[k])
-            blocks = self._pieri[t] = [tuple(cols) for cols in columns]
+            d, m, index = self.grid.d, self.grid.m, self.index
+            rows = []
+            for word in self.basis.get(t, []):
+                row = [0] * (d + 1)
+                for size, mu in sized_vertical_strips(word, m):
+                    row[size] |= 1 << index[mu]
+                rows.append(row)
+            blocks = self._pieri[t] = list(zip(*rows)) or [()] * (d + 1)
         return blocks[j]
 
     def product(self, chain: dict[int, dict[int, int]], u: int, t: int, last: int = 0) -> int:
@@ -99,9 +101,9 @@ class _GridContext:
         ``last`` is the packed unit of a generator to peel only when no
         other is left, or 0.
         """
-        if t > self.grid.top_degree:
+        if t > self.top_degree:
             return 0
-        slot = self.grid.slot
+        slot = self.slot
         rest = ~(last * ((1 << slot) - 1))
         peeled = []
         while (out := chain.setdefault(t, {}).get(u)) is None:
@@ -127,7 +129,7 @@ class _GridContext:
         is the lowest bead's slot.  This is a bijection onto the monomials with
         at most c factors.  In descending order ``invert`` takes over twice as long.
         """
-        d, slot = self.grid.d, self.grid.slot
+        d, slot = self.grid.d, self.slot
 
         def monomial(w: int) -> int:
             beads = [*bits(w), -1]
@@ -163,12 +165,11 @@ def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:
     d, m = grid.d, grid.m
     ctx = _context(grid)
     spaces = {t: len(words) for t, words in ctx.basis.items()}
+    shl, position = (1).__lshift__, ctx.index.__getitem__
     blocks: dict[int, tuple[int, ...]] = {}
-    for t in range(grid.top_degree - shift + 1):
-        target = ctx.index[t + shift]
+    for t in range(ctx.top_degree - shift + 1):
         blocks[t] = tuple(
-            sum(1 << target[mu] for mu in lenart_strips(word, shift, d, m))
-            for word in ctx.basis[t]
+            sum(map(shl, map(position, lenart_strips(word, shift, d, m)))) for word in ctx.basis[t]
         )
     return GradedMap(shift, spaces, blocks)
 

@@ -6,8 +6,9 @@ lam_i + d - 1 - i.  This is the Maya diagram of lam (Macdonald, *Symmetric
 Functions and Hall Polynomials*, I.1 Ex. 8): adding one box to row i moves
 its bead up one slot, and adding a ribbon of k boxes moves one bead up k
 slots.  Words with the same weight compare as integers the way their
-partitions compare lexicographically.  Everything is a pure value, safe to
-share between workers.
+partitions compare lexicographically.  The vertical strips of every size
+come from one walk, one list step per run of movable beads.  Everything is
+a pure value, safe to share between workers.
 """
 
 from __future__ import annotations
@@ -46,24 +47,22 @@ def bits(x: int):
         x ^= 1 << p
 
 
-def vertical_strips_by_size(w: int, m: int) -> list[list[int]]:
-    """Words of the partitions made from w by adding boxes, at most one per row, by size.
+def sized_vertical_strips(w: int, m: int) -> list[tuple[int, int]]:
+    """Pairs (j, mu): mu is w with j >= 1 boxes added, at most one per row.
 
-    Entry j lists the words with j more boxes, from w itself at 0 up to
-    the most boxes that fit.  Each run of consecutive beads whose next slot
-    ``top`` is empty (and inside the word) can move its top s beads up one
-    slot, which moves bit top - s to bit top, whatever the other runs do.
+    Every size up to the most boxes that fit, each mu once, in no particular
+    order.  Each run of consecutive beads whose next slot ``top`` is empty
+    (and inside the word) can move its top s beads up one slot, whatever the
+    other runs do.  That clears bit top - s and sets bit top, which are set
+    and clear in every word the runs above made, so it adds
+    2^top - 2^(top - s): each run is one list step over the pairs.
     """
-    by_size = [[w]]
+    strips = [(0, w)]
     for top in bits(w << 1 & ~w & (1 << m) - 1):
         run = top - (~w & (1 << top) - 1).bit_length()
-        grown: list[list[int]] = [[] for _ in range(len(by_size) + run)]
-        for size, words in enumerate(by_size):
-            for s in range(run + 1):
-                move = 1 << top ^ 1 << top - s
-                grown[size + s] += [v ^ move for v in words]
-        by_size = grown
-    return by_size
+        steps = [(s, (1 << top) - (1 << top - s)) for s in range(run + 1)]
+        strips = [(j + s, v + step) for j, v in strips for s, step in steps]
+    return strips[1:]  # the first pair moved no bead
 
 
 def lenart_strips(w: int, k: int, d: int, m: int) -> list[int]:

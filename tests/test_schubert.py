@@ -7,7 +7,7 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grqn.cofiber import twisted_complex
+from grqn.cofiber import _ideal_cut, twisted_complex
 from grqn.homology import _echelon
 from grqn.schubert import Grid, _context, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
 from oracles import (
@@ -96,7 +96,7 @@ def pieri(grid, lam, j):
     """Schubert classes of s_lam * w_j, read off the bit-packed Pieri block."""
     ctx = _context(grid)
     t = sum(lam)
-    col = ctx.pieri_block(j, t)[ctx.index[t][word(lam, grid.d)]]
+    col = ctx.pieri_block(j, t)[ctx.index[word(lam, grid.d)]]
     return {partition(w, grid.d) for w in decode(col, ctx.basis.get(t + j, []))}
 
 
@@ -133,6 +133,27 @@ def test_pieri_matches_schur_oracle():
         product = mult_sets(schur_monomials(lam, d), elementary_set(i, d))
         expected = {mu for mu in schur_expand(product, d) if not mu or mu[0] <= c}
         assert got == expected
+
+
+def test_pieri_blocks_restrict_along_the_inclusion():
+    # Restriction from Gr_d(R^(m+1)) to Gr_d(R^m) is a ring map.  It kills the
+    # classes with a full first row, which lead each degree of the larger
+    # grid, and keeps the rest in order.  So each Pieri block of the larger
+    # grid keeps that ideal inside itself, and its tail columns, cut below
+    # the ideal, are the smaller grid's block.
+    for d in range(1, 7):
+        for c in range(7):
+            big, small = Grid(d, c + 1), Grid(d, c)
+            cut = _ideal_cut(big)
+            for t, words in schubert_basis(big).items():
+                assert words[cut[t] :] == schubert_basis(small).get(t, []), (d, c, t)
+            for j in range(1, d + 1):
+                for t in range(big.top_degree - j + 1):
+                    cols = _context(big).pieri_block(j, t)
+                    low = cut[t + j]
+                    assert not any(col >> low for col in cols[: cut[t]]), (d, c, j, t)
+                    tail = [col >> low for col in cols[cut[t] :]]
+                    assert tail == list(_context(small).pieri_block(j, t)), (d, c, j, t)
 
 
 # --- basis change ------------------------------------------------------------

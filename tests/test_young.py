@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grqn.young import lenart_strips, partitions_in_grid, vertical_strips_by_size
+from grqn.young import lenart_strips, partitions_in_grid, sized_vertical_strips
 from oracles import (
     DULL,
     SHARP,
@@ -331,15 +331,17 @@ def test_vertical_strips_match_the_filtered_candidates_exhaustively():
 
 def test_strips_of_all_sizes_match_the_one_size_walk():
     # The all-sizes walk, grouped by size, against the one-size walk for every j.
-    for d in range(7):
-        for c in range(7):
+    for d in range(8):
+        for c in range(8):
             m = d + c
             for words in partitions_in_grid(d, c).values():
                 for w in words:
-                    by_size = vertical_strips_by_size(w, m)
-                    assert by_size[0] == [w]
+                    strips = sized_vertical_strips(w, m)
+                    assert len({mu for _, mu in strips}) == len(strips), (w, d, c)
+                    by_size: dict[int, list[int]] = {}
+                    for j, mu in strips:
+                        by_size.setdefault(j, []).append(mu)
+                    assert set(by_size) <= set(range(1, d + 1)), (w, d, c)
                     for j in range(1, d + 2):
-                        got = by_size[j] if j < len(by_size) else []
-                        assert len(got) == len(set(got)), (w, j, d, c)
-                        assert sorted(got) == sorted(vertical_strips(w, j, m)), (w, j, d, c)
-                    assert len(by_size) <= d + 1
+                        got = sorted(by_size.get(j, []))
+                        assert got == sorted(vertical_strips(w, j, m)), (w, j, d, c)
