@@ -1,10 +1,11 @@
 """Command-line surface: single cells, tables, sweeps, cofiber reports.
 
-Cells are pure computations, so the sweep runs them in a process pool, the
-cells of a grid small enough for both routes as one task so that its context
-is built once, longest task first.  A single writer appends finished records
-to a JSON-lines cache in that dispatch order.  Outputs use a fixed field
-order to stay byte-reproducible.
+``table`` and ``verify`` run their cells through one driver.  Cells are pure
+computations, so it groups them into tasks, the cells of a grid small enough
+for both routes as one task so that its context is built once, and runs the
+tasks longest first, serially or in a process pool.  ``verify`` appends each
+finished record to a JSON-lines cache in that dispatch order; ``table`` sorts
+its rows.  Outputs use a fixed field order to stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
-from itertools import chain
+from itertools import chain, groupby
 from math import comb
+from operator import itemgetter
+from typing import BinaryIO
 
 from .cofiber import GridTooSmall, cofiber_homology, twisted_complex
 from .formulas import InvalidCell, check_cell, predicted_cofiber_k, predicted_delta_rank, predicted_k
@@ -39,6 +43,7 @@ METHOD_DERIVATION = "Derivation"
 METHOD_BOTH = "Both"
 
 CSV_HEADER = "d,c,value,status,method"
+SUMMARY = {STATUS_PROVEN: "proven", STATUS_CONJECTURE: "conjecture_match", STATUS_MISMATCH: "mismatch"}
 
 
 class UsageError(ValueError):
@@ -59,6 +64,10 @@ class LowerBoundViolation(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """A computed profile breaks parity or, for even m, duality; this is a bug."""
+
+
+class TableFailed(RuntimeError):
+    """A table cell raised or the table is not symmetric; this is a bug."""
 
 
 @dataclass
@@ -186,44 +195,29 @@ def compute_cell(n: int, d: int, m: int, basis: str = "auto", limit: int | None 
     )
 
 
-def _require_nonempty(name: str, values: range) -> range:
-    if not values:
-        raise UsageError(f"empty {name} range {values.start}..{values.stop - 1}")
-    return values
-
-
 def table_rows(n: int, dmax: int, cmax: int, limit: int | None = None) -> list[dict]:
-    """The (d, c) grid of computed totals, with oversize cells predicted only."""
-    d_range = _require_nonempty("d", range(1, dmax + 1))
-    c_range = _require_nonempty("c", range(1, cmax + 1))
+    """The (d, c) grid of computed totals, with oversize cells predicted only.
+
+    The cells run serially through the sweep's driver.  A cell that raises,
+    or a total that differs from its transpose's, is a ``TableFailed``.
+    """
+    cells = _cells(range(n, n + 1), range(1, dmax + 1), range(1, cmax + 1))
     rows = []
-    values: dict[tuple[int, int], int] = {}
-    for d in d_range:
-        for c in c_range:
-            try:
-                rec = compute_cell(n, d, d + c, limit=limit)
-                row = {
-                    "d": d,
-                    "c": c,
-                    "value": rec.computed_total,
-                    "status": rec.status,
-                    "method": rec.method,
-                }
-                values[(d, c)] = rec.computed_total
-            except CellTooLarge:
-                row = {
-                    "d": d,
-                    "c": c,
-                    "value": predicted_k(n, d, d + c),
-                    "status": STATUS_PREDICTED_ONLY,
-                    "method": "none",
-                }
-            rows.append(row)
-    for (d, c), v in values.items():
-        w = values.get((c, d))
+    totals: dict[tuple[int, int], int] = {}
+    for (_, d, m, _), (tag, payload) in _sweep(cells, cell_limit() if limit is None else limit):
+        if tag == "ok":
+            row = (payload.computed_total, payload.status, payload.method)
+            totals[d, m] = payload.computed_total
+        elif tag == "too_large":
+            row = (predicted_k(n, d, m), STATUS_PREDICTED_ONLY, "none")
+        else:
+            raise TableFailed(payload)
+        rows.append(dict(zip(CSV_HEADER.split(","), (d, m - d, *row))))
+    for (d, m), v in totals.items():
+        w = totals.get((m - d, m))
         if w is not None and w != v:
-            raise RuntimeError(f"table symmetry violated at ({d},{c}): {v} vs {w}")
-    return rows
+            raise TableFailed(f"table symmetry violated at ({d},{m - d}): {v} vs {w}")
+    return sorted(rows, key=itemgetter("d", "c"))
 
 
 def table_csv(rows: list[dict]) -> str:
@@ -255,49 +249,33 @@ def cofiber_report(n: int, d: int, m: int, limit: int | None = None) -> dict:
 _UNREADABLE = (ValueError, KeyError, TypeError)
 
 
-def load_cache(path: str) -> dict[tuple[int, int, int, str], ResultRecord]:
-    """Records by key; an unreadable last line with no line break is skipped.
+def load_cache(source: str | BinaryIO) -> dict[tuple[int, int, int, str], ResultRecord]:
+    """Records by key, from a path or from the start of a binary file.
 
-    Such a line is a write that was cut off; any other unreadable line
-    raises ``CacheCorrupt``.
+    An unreadable last line with no line break is a write that was cut off
+    and is skipped; any other unreadable line raises ``CacheCorrupt``.  A
+    file is left at the end of its last readable record, before that
+    record's line break: where a writer resuming the cache cuts it off.
     """
     records: dict[tuple[int, int, int, str], ResultRecord] = {}
-    if not os.path.exists(path):
+    if isinstance(source, str) and not os.path.exists(source):
         return records
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = ResultRecord.from_dict(json.loads(line))
-            except _UNREADABLE as exc:
-                if not raw.endswith("\n"):
-                    break
-                raise CacheCorrupt(f"cache line {lineno} is unreadable: {exc}") from exc
-            records[(rec.n, rec.d, rec.m, rec.method)] = rec
+    with open(source, "rb") if isinstance(source, str) else nullcontext(source) as handle:
+        handle.seek(0)
+        start = end = 0
+        for lineno, raw in enumerate(handle.read().splitlines(keepends=True), start=1):
+            if raw.strip():
+                try:
+                    rec = ResultRecord.from_dict(json.loads(raw))
+                except _UNREADABLE as exc:
+                    if not raw.endswith((b"\n", b"\r")):  # only the last line can end so
+                        break
+                    raise CacheCorrupt(f"cache line {lineno} is unreadable: {exc}") from exc
+                records[(rec.n, rec.d, rec.m, rec.method)] = rec
+                end = start + len(raw.rstrip())
+            start += len(raw)
+        handle.seek(end)
     return records
-
-
-def _end_on_line_break(path: str) -> None:
-    """Make the next appended record start on a line of its own.
-
-    A last line with no line break is cut off if it does not parse, as
-    ``load_cache`` skipped it, and closed with a line break if it does.
-    """
-    if not os.path.exists(path):
-        return
-    with open(path, "rb+") as handle:
-        data = handle.read()
-        if not data or data.endswith(b"\n"):
-            return
-        start = data.rfind(b"\n") + 1
-        try:
-            ResultRecord.from_dict(json.loads(data[start:]))
-        except _UNREADABLE:
-            handle.truncate(start)
-        else:
-            handle.write(b"\n")
 
 
 def _usable_cpus() -> int:
@@ -307,23 +285,64 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep_cell(args: tuple[int, int, int, int]) -> tuple[str, ResultRecord | str | None]:
+# A cell's sweep outcome: "ok" with its record, "too_large" with None, or
+# "lower_bound" or "failed" with a message naming the cell.
+Outcome = tuple[str, ResultRecord | str | None]
+
+
+def _sweep_cell(args: tuple[int, int, int, int]) -> Outcome:
     n, d, m, cap = args
     try:
         return "ok", compute_cell(n, d, m, limit=cap)
     except CellTooLarge:
         return "too_large", None
-    except LowerBoundViolation as exc:
-        return "lower_bound", str(exc)
     except Exception as exc:  # one failing cell must not end the sweep
-        return "failed", f"cell n={n} d={d} m={m}: {exc}"
+        tag = "lower_bound" if isinstance(exc, LowerBoundViolation) else "failed"
+        return tag, f"cell n={n} d={d} m={m}: {exc}"
 
 
-def _sweep_task(
-    cells: list[tuple[int, int, int, int]],
-) -> list[tuple[str, ResultRecord | str | None]]:
+def _sweep_task(cells: list[tuple[int, int, int, int]]) -> list[Outcome]:
     """One task's cells in n order, so a grid's context is built once for all."""
     return [_sweep_cell(cell) for cell in cells]
+
+
+def _cells(n_range: range, d_range: range, c_range: range) -> list[tuple[int, int, int]]:
+    """Every cell ``(n, d, m)`` in range, in (d, c, n) order, once the ranges are checked."""
+    for name, values in (("n", n_range), ("d", d_range), ("c", c_range)):
+        if not values:
+            raise UsageError(f"empty {name} range {values.start}..{values.stop - 1}")
+    # every cell is valid when the lowest one is
+    check_cell(n_range[0], d_range[0], d_range[0] + c_range[0])
+    return [(n, d, d + c) for d in d_range for c in c_range for n in n_range]
+
+
+def _sweep(
+    cells: list[tuple[int, int, int]], cap: int, jobs: int = 1
+) -> Iterator[tuple[tuple[int, int, int, int], Outcome]]:
+    """Each of ``cells``, given in (d, c, n) order, as ``(n, d, m, cap)`` with its outcome.
+
+    A grid small enough for both routes is one task, its cells in n order,
+    so its context is built once; a larger grid, on the Lenart route alone,
+    is one task per cell, so its cells run in parallel.  The outcomes come
+    in task order: serially, each as soon as its cell is done; in a pool of
+    ``jobs`` workers, as soon as its task and every task before it are done.
+    """
+    tasks: list[list[tuple[int, int, int, int]]] = []
+    for (d, m), grid in groupby(cells, key=itemgetter(1, 2)):
+        grid = [(n, d, m, cap) for n, _, _ in grid]
+        if default_method(0, d, m) == METHOD_BOTH:
+            tasks.append(grid)
+        else:
+            tasks.extend([cell] for cell in grid)
+    # Longest task first (Graham's LPT rule), by cell count times basis size
+    # comb(m, d); the sort is stable, so ties stay in (d, c, n) order.
+    tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
+    order = list(chain.from_iterable(tasks))
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from zip(order, chain.from_iterable(pool.map(_sweep_task, tasks)))
+    else:
+        yield from zip(order, map(_sweep_cell, order))
 
 
 def verify_sweep(
@@ -336,94 +355,58 @@ def verify_sweep(
 ) -> dict:
     """Evaluate every cell in range, skipping cache hits; append new records.
 
-    The cells still to compute go out as tasks to at most one worker per CPU
-    the process may run on.  A grid small enough for both routes is one task,
-    its cells in n order, so its context is built once; a larger grid, on
-    the Lenart route alone, is one task per cell, so its cells run in
-    parallel.  Tasks go longest first, by cell count times basis size, ties
-    in (d, c, n) order, and their records are written and flushed in that
-    order: run serially, each as soon as its cell is done; in the pool, as
-    soon as its task and every task before it are done.  So an interrupted
-    sweep keeps the cells finished before the interruption, except those
-    held behind a task still running.  A cell that raises counts as a
-    mismatch and is reported on stderr; it gets no record, so the next sweep
-    retries it.  A cache that cannot be opened or read is a ``UsageError``,
-    raised before any cell runs.
+    The cells still to compute go through ``_sweep`` with at most one worker
+    per CPU the process may run on, and each record is written and flushed
+    as the driver hands it over.  So an interrupted sweep keeps the cells
+    finished before the interruption, except those held behind a task still
+    running.  A cell that raises counts as a mismatch and is reported on
+    stderr; it gets no record, so the next sweep retries it.  A cache that
+    cannot be opened or read is a ``UsageError``, raised before any cell
+    runs.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    for name, values in (("n", n_range), ("d", d_range), ("c", c_range)):
-        _require_nonempty(name, values)
-    # every cell is valid when the lowest one is
-    check_cell(n_range[0], d_range[0], d_range[0] + c_range[0])
-    workers = min(jobs, _usable_cpus())
+    cells = _cells(n_range, d_range, c_range)
     cap = cell_limit() if limit is None else limit
     try:
-        cache = load_cache(cache_path)
-        _end_on_line_break(cache_path)
-        handle = open(cache_path, "a", encoding="utf-8")
+        handle = open(cache_path, "a+b")
     except OSError as exc:
         raise UsageError(f"cannot use cache {cache_path}: {exc.strerror}") from exc
-    counts = {STATUS_PROVEN: 0, STATUS_CONJECTURE: 0, STATUS_MISMATCH: 0, "Skipped": 0}
-    violations = 0
-    # A task is a list of cells.  A grid small enough for both routes is one
-    # task, its cells in n order, so the context the Wu route needs is built
-    # once; a grid on the Lenart route alone, which uses little of it, goes
-    # cell by cell, so its cells run in parallel.
-    tasks: list[list[tuple[int, int, int, int]]] = []
-    for d in d_range:
-        for c in c_range:
-            m = d + c
-            cells = []
-            for n in n_range:
-                key = (n, d, m, default_method(n, d, m))
-                if key in cache:
-                    counts[cache[key].status] += 1
-                    counts["Skipped"] += 1
-                else:
-                    cells.append((n, d, m, cap))
-            if default_method(0, d, m) != METHOD_BOTH:
-                tasks.extend([cell] for cell in cells)
-            elif cells:
-                tasks.append(cells)
-    # Longest task first (Graham's LPT rule), by cell count times basis size
-    # comb(m, d); the sort is stable, so ties stay in (d, c, n) order.
-    tasks.sort(key=lambda cells: -len(cells) * comb(cells[0][2], cells[0][1]))
-
-    with handle, ExitStack() as stack:
-        if workers > 1 and len(tasks) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = chain.from_iterable(pool.map(_sweep_task, tasks))
-        else:
-            results = map(_sweep_cell, chain.from_iterable(tasks))
-        for tag, payload in results:
+    summary = dict.fromkeys([*SUMMARY.values(), "skipped", "lower_bound_violations"], 0)
+    with handle:
+        cache = load_cache(handle)
+        handle.truncate()  # after the last readable record: drops a write cut off
+        if handle.tell():
+            handle.write(b"\n")  # ends that record's line
+        todo = []
+        for n, d, m in cells:
+            rec = cache.get((n, d, m, default_method(n, d, m)))
+            if rec is None:
+                todo.append((n, d, m))
+            else:
+                summary[SUMMARY[rec.status]] += 1
+                summary["skipped"] += 1
+        for _, (tag, payload) in _sweep(todo, cap, min(jobs, _usable_cpus())):
             if tag == "too_large":
-                counts["Skipped"] += 1
+                summary["skipped"] += 1
             elif tag == "lower_bound":
-                violations += 1
+                summary["lower_bound_violations"] += 1
             elif tag == "failed":
-                counts[STATUS_MISMATCH] += 1
+                summary["mismatch"] += 1
                 print(f"grqn: {payload}", file=sys.stderr)
             else:
-                rec = payload
-                counts[rec.status] += 1
-                handle.write(rec.to_json() + "\n")
+                summary[SUMMARY[payload.status]] += 1
+                handle.write(payload.to_json().encode() + b"\n")
                 handle.flush()
-    return {
-        "proven": counts[STATUS_PROVEN],
-        "conjecture_match": counts[STATUS_CONJECTURE],
-        "mismatch": counts[STATUS_MISMATCH],
-        "skipped": counts["Skipped"],
-        "lower_bound_violations": violations,
-    }
+    return summary
 
 
 def _parse_range(raw: str) -> range:
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(raw)
-    return range(v, v + 1)
+    lo, dots, hi = raw.partition("..")
+    try:
+        return range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A or A..B, got {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -469,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, InvalidCell, GridTooSmall, CellTooLarge, CacheCorrupt) as exc:
         print(f"grqn: error: {exc}", file=sys.stderr)
         return 2
+    except TableFailed as exc:
+        print(f"grqn: {exc}", file=sys.stderr)
+        return 1
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,9 @@ from grqn.cli import (
     CacheCorrupt,
     CellTooLarge,
     InvariantViolation,
+    LowerBoundViolation,
     ResultRecord,
+    TableFailed,
     UsageError,
     cofiber_report,
     compute_cell,
@@ -134,6 +137,114 @@ def test_default_method_cutover():
 
 def test_table_csv_golden_block():
     assert table_csv(table_rows(1, 2, 2)) == GOLDEN_2X2
+
+
+# (d, c, value, status, method) rows of `table --n 1 --dmax 4 --cmax 4`
+TABLE_4X4 = [
+    (1, 1, 2, "Proven", "Both"),
+    (1, 2, 3, "Proven", "Both"),
+    (1, 3, 4, "Proven", "Both"),
+    (1, 4, 3, "Proven", "Both"),
+    (2, 1, 3, "Proven", "Both"),
+    (2, 2, 6, "Proven", "Both"),
+    (2, 3, 4, "Proven", "Both"),
+    (2, 4, 7, "Proven", "Both"),
+    (3, 1, 4, "Proven", "Both"),
+    (3, 2, 4, "ConjectureMatch", "Both"),
+    (3, 3, 8, "ConjectureMatch", "Both"),
+    (3, 4, 7, "ConjectureMatch", "Both"),
+    (4, 1, 3, "ConjectureMatch", "Both"),
+    (4, 2, 7, "ConjectureMatch", "Both"),
+    (4, 3, 7, "ConjectureMatch", "Both"),
+    (4, 4, 14, "ConjectureMatch", "Both"),
+]
+
+
+@pytest.mark.parametrize("limit", [None, "20"])
+def test_main_table_json_rows_in_d_c_order(monkeypatch, capsys, limit):
+    # The cells run largest first; the rows still come out in (d, c) order.
+    rows = TABLE_4X4
+    if limit:  # the three cells with C(m, d) > 20 are predicted only
+        monkeypatch.setenv("GRQN_CELL_LIMIT", limit)
+        rows = [
+            (d, c, v, "predicted-only", "none") if math.comb(d + c, d) > 20 else (d, c, v, s, m)
+            for d, c, v, s, m in rows
+        ]
+        assert sum(row[3] == "predicted-only" for row in rows) == 3
+    row_bytes = '{"d": %d, "c": %d, "value": %d, "status": "%s", "method": "%s"}'
+    expected = "[" + ", ".join(row_bytes % row for row in rows) + "]\n"
+    assert main(["table", "--n", "1", "--dmax", "4", "--cmax", "4", "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_table_builds_each_grid_context_once(monkeypatch):
+    built = count_context_builds(monkeypatch)
+    rows = table_rows(1, 4, 4)
+    assert len(rows) == 16
+    grids = [(d, c) for d in range(1, 5) for c in range(1, 5)]
+    assert [(g.d, g.c) for g in built] == sorted(grids, key=lambda g: -math.comb(g[0] + g[1], g[0]))
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        InvariantViolation("odd defect 5 - 2"),
+        LowerBoundViolation("computed 2 < lower bound 4"),
+        RuntimeError("matrix constructions disagree"),
+    ],
+    ids=["invariant", "lower bound", "routes disagree"],
+)
+def test_main_table_with_a_failing_cell_is_a_clean_error(monkeypatch, capsys, error):
+    real = cli.compute_cell
+
+    def fail_at_d2_m3(n, d, m, **kwargs):
+        if (d, m) == (2, 3):
+            raise error
+        return real(n, d, m, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_cell", fail_at_d2_m3)
+    code = main(["table", "--n", "1", "--dmax", "2", "--cmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"grqn: cell n=1 d=2 m=3: {error}\n"
+
+
+def test_main_table_with_an_asymmetric_total_fails(monkeypatch, capsys):
+    real = cli.compute_cell
+
+    def plant_at_d1_m3(n, d, m, **kwargs):
+        rec = real(n, d, m, **kwargs)
+        return replace(rec, computed_total=rec.computed_total + 2) if (d, m) == (1, 3) else rec
+
+    monkeypatch.setattr(cli, "compute_cell", plant_at_d1_m3)
+    with pytest.raises(TableFailed, match="symmetry"):
+        table_rows(1, 2, 2)
+    code = main(["table", "--n", "1", "--dmax", "2", "--cmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err in {
+        "grqn: table symmetry violated at (1,2): 5 vs 3\n",
+        "grqn: table symmetry violated at (2,1): 3 vs 5\n",
+    }
+
+
+def test_a_total_below_the_lower_bound_is_a_violation(monkeypatch, tmp_path, capsys):
+    real = cli.predicted_k
+    monkeypatch.setattr(cli, "predicted_k", lambda n, d, m: real(n, d, m) + (m == 3))
+    assert compute_cell(1, 1, 2).computed_total == 2
+    with pytest.raises(LowerBoundViolation, match=re.escape("computed 3 < lower bound 4")):
+        compute_cell(1, 1, 3)
+    # in a sweep the cell counts as a violation and gets no record
+    cache = tmp_path / "c.jsonl"
+    summary = verify_sweep(range(1, 2), range(1, 2), range(1, 3), cache_path=str(cache))
+    assert summary["lower_bound_violations"] == 1
+    assert summary["proven"] == 1
+    assert record_cells(cache) == [(1, 1, 2)]
+    argv = ["verify", "--n", "1", "--d", "1", "--c", "1..2", "--cache", str(tmp_path / "v.jsonl")]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["lower_bound_violations"] == 1
 
 
 def test_table_csv_deterministic():
@@ -273,6 +384,18 @@ def test_twisted_complex_matches_the_cofiber_property(n, d, c):
 def test_parse_range():
     assert list(_parse_range("2..4")) == [2, 3, 4]
     assert list(_parse_range("3")) == [3]
+
+
+@pytest.mark.parametrize("raw", ["x", "3..", "..3", "1..2..3", "1.5"])
+def test_main_verify_bad_range_is_a_usage_error(tmp_path, capsys, raw):
+    cache = tmp_path / "c.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--n", raw, "--d", "1", "--c", "1", "--cache", str(cache)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --n: expected A or A..B, got {raw!r}\n")
+    assert "Traceback" not in err
+    assert not cache.exists()
 
 
 def test_main_compute_json(capsys):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grqn.cofiber import GridTooSmall, _ideal_cut, cofiber_homology, twisted_complex
+from grqn import homology
+from grqn.cofiber import GridTooSmall, ParityViolation, _ideal_cut, cofiber_homology, twisted_complex
 from grqn.homology import (
     GradedMap,
     HomologyProfile,
@@ -175,6 +176,19 @@ def test_connecting_rank_examples():
     assert cofiber_homology(2, 3, 7)[1] == 0  # collapse range
     with pytest.raises(GridTooSmall):
         cofiber_homology(1, 2, 2)
+
+
+def test_an_odd_exactness_defect_is_a_parity_violation(monkeypatch):
+    assert cofiber_homology(1, 2, 5)[1] == 2  # the real profiles balance
+
+    def one_more(gm):
+        profile = qn_homology(gm)
+        return HomologyProfile(profile.per_degree, profile.total + 1)
+
+    # one more class in each of the ideal, the quotient and the whole: defect 2 * 2 + 1
+    monkeypatch.setattr(homology, "qn_homology", one_more)
+    with pytest.raises(ParityViolation, match="exactness defect 5 at n=1 d=2 m=5"):
+        cofiber_homology(1, 2, 5)
 
 
 def test_long_exact_sequence_bookkeeping():

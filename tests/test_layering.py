@@ -209,3 +209,14 @@ def test_only_the_bead_walk_calls_itself():
         finally:
             sys.setprofile(previous)
         assert 1 <= peak <= d + 1, (d, c, peak)
+
+
+def test_only_the_sweep_and_the_compute_command_run_a_cell():
+    # table and verify run their cells through one driver, whose per-cell
+    # step is _sweep_cell; only the compute command calls compute_cell itself.
+    uses = list(references(parsed(MODULES["cli"]), "compute_cell"))
+    assert sorted(enclosing(node) for node in uses) == ["_run", "_sweep_cell"]
+    up = next(node for node in uses if enclosing(node) == "_run")
+    while not isinstance(up, ast.If):
+        up = up.parent
+    assert ast.unparse(up.test) == "args.command == 'compute'"
