@@ -16,17 +16,16 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures  # ProcessPoolExecutor, and multiprocessing, load on first use
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from io import BufferedIOBase
 from itertools import chain, groupby
 from math import comb
 from operator import itemgetter
-from typing import BinaryIO
 
 from .cofiber import GridTooSmall, cofiber_homology, twisted_complex
 from .formulas import InvalidCell, check_cell, predicted_cofiber_k, predicted_delta_rank, predicted_k
-from .homology import HomologyProfile, qn_homology
+from .homology import HomologyProfile, NotADifferential, qn_homology
 from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
 
 CELL_LIMIT_ENV = "GRQN_CELL_LIMIT"
@@ -70,27 +69,47 @@ class TableFailed(RuntimeError):
     """A table cell raised or the table is not symmetric; this is a bug."""
 
 
-@dataclass
 class ResultRecord:
-    """One verified cell."""
+    """One verified cell; ``FIELDS`` are its attributes in record order."""
 
-    n: int
-    d: int
-    m: int
-    computed_total: int
-    per_degree: tuple[tuple[int, int], ...]
-    predicted: int
-    status: str
-    method: str
-    elapsed_ms: int
+    FIELDS = (
+        "n", "d", "m", "computed_total", "per_degree", "predicted", "status", "method", "elapsed_ms"
+    )
+
+    def __init__(
+        self,
+        n: int,
+        d: int,
+        m: int,
+        computed_total: int,
+        per_degree: tuple[tuple[int, int], ...],
+        predicted: int,
+        status: str,
+        method: str,
+        elapsed_ms: int,
+    ) -> None:
+        self.n, self.d, self.m = n, d, m
+        self.computed_total, self.per_degree, self.predicted = computed_total, per_degree, predicted
+        self.status, self.method, self.elapsed_ms = status, method, elapsed_ms
+
+    def _as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResultRecord):
+            return NotImplemented
+        return self._as_dict() == other._as_dict()
+
+    def __repr__(self) -> str:
+        return f"ResultRecord({', '.join(f'{k}={v!r}' for k, v in self._as_dict().items())})"
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(self._as_dict())
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ResultRecord":
         """The record in ``raw``, ignoring extra keys; a missing key is a KeyError."""
-        rec = cls(**{f.name: raw[f.name] for f in fields(cls)})
+        rec = cls(*(raw[name] for name in cls.FIELDS))
         rec.per_degree = tuple((t, v) for t, v in rec.per_degree)
         if rec.status not in (STATUS_PROVEN, STATUS_CONJECTURE, STATUS_MISMATCH):
             raise ValueError(f"unknown status {rec.status!r}")
@@ -249,7 +268,7 @@ def cofiber_report(n: int, d: int, m: int, limit: int | None = None) -> dict:
 _UNREADABLE = (ValueError, KeyError, TypeError)
 
 
-def load_cache(source: str | BinaryIO) -> dict[tuple[int, int, int, str], ResultRecord]:
+def load_cache(source: str | BufferedIOBase) -> dict[tuple[int, int, int, str], ResultRecord]:
     """Records by key, from a path or from the start of a binary file.
 
     An unreadable last line with no line break is a write that was cut off
@@ -339,7 +358,7 @@ def _sweep(
     tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
     order = list(chain.from_iterable(tasks))
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from zip(order, chain.from_iterable(pool.map(_sweep_task, tasks)))
     else:
         yield from zip(order, map(_sweep_cell, order))
@@ -359,10 +378,10 @@ def verify_sweep(
     per CPU the process may run on, and each record is written and flushed
     as the driver hands it over.  So an interrupted sweep keeps the cells
     finished before the interruption, except those held behind a task still
-    running.  A cell that raises counts as a mismatch and is reported on
-    stderr; it gets no record, so the next sweep retries it.  A cache that
-    cannot be opened or read is a ``UsageError``, raised before any cell
-    runs.
+    running.  A cell that raises counts as a mismatch, or as a lower-bound
+    violation, and is reported on stderr; it gets no record, so the next
+    sweep retries it.  A cache that cannot be opened or read is a
+    ``UsageError``, raised before any cell runs.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
@@ -387,17 +406,15 @@ def verify_sweep(
                 summary[SUMMARY[rec.status]] += 1
                 summary["skipped"] += 1
         for _, (tag, payload) in _sweep(todo, cap, min(jobs, _usable_cpus())):
-            if tag == "too_large":
-                summary["skipped"] += 1
-            elif tag == "lower_bound":
-                summary["lower_bound_violations"] += 1
-            elif tag == "failed":
-                summary["mismatch"] += 1
-                print(f"grqn: {payload}", file=sys.stderr)
-            else:
+            if tag == "ok":
                 summary[SUMMARY[payload.status]] += 1
                 handle.write(payload.to_json().encode() + b"\n")
                 handle.flush()
+            elif tag == "too_large":
+                summary["skipped"] += 1
+            else:  # "lower_bound" or "failed", with a message naming the cell
+                summary["lower_bound_violations" if tag == "lower_bound" else "mismatch"] += 1
+                print(f"grqn: {payload}", file=sys.stderr)
     return summary
 
 
@@ -454,6 +471,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except TableFailed as exc:
         print(f"grqn: {exc}", file=sys.stderr)
+        return 1
+    except (RuntimeError, NotADifferential) as exc:
+        if args.command not in ("compute", "cofiber"):
+            raise
+        # a bug check failed on the command's one cell, as in a failing table cell
+        print(f"grqn: cell n={args.n} d={args.d} m={args.m}: {exc}", file=sys.stderr)
         return 1
 
 

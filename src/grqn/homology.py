@@ -9,8 +9,8 @@ products and inverses from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 
 class NotADifferential(ValueError):
@@ -76,7 +76,6 @@ def invert(cols: Sequence[int]) -> list[int]:
     return [v & low for v in kernel]
 
 
-@dataclass
 class GradedMap:
     """A degree-raising square-zero map, one F_2 block per degree.
 
@@ -86,20 +85,30 @@ class GradedMap:
     positive dimension, so equal maps compare equal structurally.
     """
 
-    shift: int
-    spaces: dict[int, int] = field(default_factory=dict)
-    blocks: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.spaces = {t: n for t, n in sorted(self.spaces.items()) if n > 0}
-        normalized: dict[int, tuple[int, ...]] = {}
+    def __init__(
+        self,
+        shift: int,
+        spaces: dict[int, int] | None = None,
+        blocks: dict[int, tuple[int, ...]] | None = None,
+    ) -> None:
+        given = blocks or {}
+        self.shift = shift
+        self.spaces = {t: n for t, n in sorted((spaces or {}).items()) if n > 0}
+        self.blocks: dict[int, tuple[int, ...]] = {}
         for t, n in self.spaces.items():
-            if self.spaces.get(t + self.shift, 0) > 0:
-                cols = tuple(self.blocks.get(t, ())) or (0,) * n
+            if self.spaces.get(t + shift, 0) > 0:
+                cols = tuple(given.get(t, ())) or (0,) * n
                 if len(cols) != n:
                     raise ValueError(f"block at degree {t} has {len(cols)} columns, expected {n}")
-                normalized[t] = cols
-        self.blocks = normalized
+                self.blocks[t] = cols
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GradedMap):
+            return NotImplemented
+        return (self.shift, self.spaces, self.blocks) == (other.shift, other.spaces, other.blocks)
+
+    def __repr__(self) -> str:
+        return f"GradedMap(shift={self.shift!r}, spaces={self.spaces!r}, blocks={self.blocks!r})"
 
     def block(self, t: int) -> tuple[int, ...]:
         return self.blocks.get(t, ())
@@ -133,12 +142,10 @@ class GradedMap:
         )
 
 
-@dataclass
-class HomologyProfile:
-    """Per-degree homology dimensions; zero degrees are omitted."""
+class HomologyProfile(namedtuple("HomologyProfile", "per_degree total")):
+    """Per-degree homology dimensions, a dict with zero degrees omitted, and their total."""
 
-    per_degree: dict[int, int]
-    total: int
+    __slots__ = ()
 
     def dim(self, t: int) -> int:
         return self.per_degree.get(t, 0)

@@ -20,8 +20,8 @@ deterministic, so concurrent use cannot produce divergent results.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import steenrod
@@ -29,16 +29,18 @@ from .homology import GradedMap, column_product, invert
 from .young import bits, lenart_strips, partitions_in_grid, sized_vertical_strips
 
 
-@dataclass(frozen=True)
-class Grid:
-    """A d x c Young-diagram frame for Gr_d(R^m) with c = m - d."""
+class Grid(namedtuple("Grid", "d c")):
+    """A d x c Young-diagram frame for Gr_d(R^m) with c = m - d.
 
-    d: int
-    c: int
+    A grid is an immutable value, equal and hashing equal to any grid with
+    the same sides, so it keys the per-grid context cache.
+    """
 
-    def __post_init__(self) -> None:
-        if self.d < 0 or self.c < 0:
-            raise ValueError(f"grid sides must be nonnegative: {self.d}x{self.c}")
+    __slots__ = ()
+
+    def __init__(self, d: int, c: int) -> None:
+        if d < 0 or c < 0:
+            raise ValueError(f"grid sides must be nonnegative: {d}x{c}")
 
     @property
     def m(self) -> int:

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grqn
-from grqn import cli, schubert
+from grqn import cli, homology, schubert
 from grqn.cli import (
     CacheCorrupt,
     CellTooLarge,
@@ -111,7 +110,7 @@ def test_compute_cell_rejects_a_broken_profile(monkeypatch, tmp_path, capsys, m,
 def test_verify_jobs_fall_back_to_cpu_count_without_affinity(tmp_path, monkeypatch):
     monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.sizes.clear()
     verify_sweep(range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl"))
     assert RecordingPool.sizes == [3]
@@ -215,7 +214,10 @@ def test_main_table_with_an_asymmetric_total_fails(monkeypatch, capsys):
 
     def plant_at_d1_m3(n, d, m, **kwargs):
         rec = real(n, d, m, **kwargs)
-        return replace(rec, computed_total=rec.computed_total + 2) if (d, m) == (1, 3) else rec
+        if (d, m) != (1, 3):
+            return rec
+        raw = json.loads(rec.to_json())
+        return ResultRecord.from_dict({**raw, "computed_total": rec.computed_total + 2})
 
     monkeypatch.setattr(cli, "compute_cell", plant_at_d1_m3)
     with pytest.raises(TableFailed, match="symmetry"):
@@ -242,9 +244,13 @@ def test_a_total_below_the_lower_bound_is_a_violation(monkeypatch, tmp_path, cap
     assert summary["lower_bound_violations"] == 1
     assert summary["proven"] == 1
     assert record_cells(cache) == [(1, 1, 2)]
+    message = "grqn: cell n=1 d=1 m=3: computed 3 < lower bound 4 at n=1 d=1 m=3\n"
+    assert capsys.readouterr().err == message
     argv = ["verify", "--n", "1", "--d", "1", "--c", "1..2", "--cache", str(tmp_path / "v.jsonl")]
     assert main(argv) == 1
-    assert json.loads(capsys.readouterr().out)["lower_bound_violations"] == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["lower_bound_violations"] == 1
+    assert captured.err == message
 
 
 def test_table_csv_deterministic():
@@ -272,6 +278,7 @@ def test_record_json_field_order_and_roundtrip():
     ]
     assert ResultRecord.from_dict(parsed) == rec
     assert ResultRecord.from_dict({**parsed, "extra": 1}) == rec
+    assert ResultRecord.from_dict({**parsed, "computed_total": 5}) != rec
     del parsed["method"]
     with pytest.raises(KeyError):
         ResultRecord.from_dict(parsed)
@@ -477,6 +484,94 @@ def test_main_cofiber_exits_1_when_a_check_fails(monkeypatch, capsys, name, wron
     ]
 
 
+def plant_totals_one_high(monkeypatch):
+    """Every homology total, in cli and in cofiber, comes out one too high."""
+    real = homology.qn_homology
+
+    def one_high(gm):
+        profile = real(gm)
+        return HomologyProfile(profile.per_degree, profile.total + 1)
+
+    monkeypatch.setattr(homology, "qn_homology", one_high)
+    monkeypatch.setattr(cli, "qn_homology", one_high)
+
+
+def plant_route_disagreement(monkeypatch):
+    """The derivation route's matrices come out zero."""
+    real = cli.derivation_qn_matrix
+
+    def zero_map(n, grid):
+        gm = real(n, grid)
+        return GradedMap(gm.shift, gm.spaces)
+
+    monkeypatch.setattr(cli, "derivation_qn_matrix", zero_map)
+
+
+@pytest.mark.parametrize(
+    "command, plant, message",
+    [
+        ("compute", plant_totals_one_high, "odd defect 10 - 5 at n=1 d=2 m=5"),
+        ("cofiber", plant_totals_one_high, "exactness defect 5 at n=1 d=2 m=5"),
+        ("compute --basis both", plant_route_disagreement, "matrix constructions disagree at n=1"),
+    ],
+    ids=["compute parity", "cofiber parity", "routes disagree"],
+)
+def test_a_failed_bug_check_on_one_cell_is_a_clean_error(monkeypatch, capsys, command, plant, message):
+    argv = [*command.split(), "--n", "1", "--d", "2", "--m", "5"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    plant(monkeypatch)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"grqn: cell n=1 d=2 m=5: {message}")
+    assert captured.err.count("\n") == 1
+
+
+# Modules only a pooled sweep, or no command at all, needs.
+NOT_ON_THE_LAUNCH_PATH = (
+    "dataclasses",
+    "inspect",
+    "typing",
+    "concurrent.futures.process",
+    "multiprocessing",
+)
+
+
+def loaded_modules(statement):
+    """Modules a fresh interpreter holds after running ``statement``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(grqn.__file__).parents[1]))
+    code = f"{statement}\nimport sys\nprint(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_the_cli_loads_neither_the_pool_nor_dataclasses():
+    # Compared with a bare interpreter under the same flags and environment,
+    # so modules a site hook preloads do not count.
+    added = loaded_modules("import grqn.cli") - loaded_modules("pass")
+    assert "grqn.cli" in added
+    found = [
+        name
+        for name in added
+        for module in NOT_ON_THE_LAUNCH_PATH
+        if name == module or name.startswith(module + ".")
+    ]
+    assert not found, found
+
+
+def test_a_pooled_verify_in_a_fresh_process_loads_the_pool(tmp_path):
+    cache = tmp_path / "c.jsonl"
+    argv = ["verify", "--n", "1", "--d", "1..2", "--c", "1", "--jobs", "2", "--cache", str(cache)]
+    statement = f"from grqn import cli\nassert cli.main({argv!r}) == 0"
+    pooled = "concurrent.futures.process" in loaded_modules(statement)
+    assert pooled == (cli._usable_cpus() > 1)  # two grids, two tasks: a pool when two CPUs
+    assert record_cells(cache) == [(1, 2, 3), (1, 1, 2)]
+
+
 def test_main_verify_with_every_cell_too_large_exits_1(tmp_path, monkeypatch, capsys):
     cache = tmp_path / "c.jsonl"
     argv = ["verify", "--n", "1", "--d", "1..2", "--c", "1..2", "--cache", str(cache)]
@@ -620,7 +715,7 @@ def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
     # counts CPUs the process may not run on.
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.sizes.clear()
     summary = verify_sweep(
         range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl")
@@ -783,7 +878,7 @@ def test_resumed_sweep_builds_only_the_grids_with_uncached_cells(tmp_path, monke
 
 def test_pool_gets_a_grid_on_both_routes_whole_and_a_larger_grid_cell_by_cell(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "BOTH_METHOD_LIMIT", 5)  # the 2x2 grid, C(4, 2) = 6, is Lenart only
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.tasks.clear()
     cache = tmp_path / "c.jsonl"
     verify_sweep(range(0, 2), range(1, 3), range(1, 3), jobs=2, cache_path=str(cache))

@@ -223,6 +223,11 @@ def test_graded_map_normalization_and_equality():
     b = GradedMap(1, dict(spaces), {0: (0,), 1: (1, 0), 5: (9,)})
     # the stray block at degree 5 has no codomain and is dropped
     assert a == b
+    # an empty block is a zero block, and a zero-dimensional degree is no degree
+    assert GradedMap(1, {**spaces, 4: 0}, {0: (), 1: (1, 0), 4: ()}) == a
+    assert a != GradedMap(1, dict(spaces), {0: (1,), 1: (1, 0)})
+    with pytest.raises(ValueError, match="block at degree 1 has 1 columns, expected 2"):
+        GradedMap(1, dict(spaces), {1: (1,)})
     c = GradedMap(1, dict(spaces), {})
     assert c.block(0) == (0,)
     assert c.is_zero()

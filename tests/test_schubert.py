@@ -4,6 +4,7 @@ import random
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -314,6 +315,20 @@ def test_point_grid_is_trivial():
         assert gm.spaces == {0: 1}
         assert gm.is_zero()
         assert derivation_qn_matrix(n, Grid(3, 0)) == gm
+
+
+@pytest.mark.parametrize("d, c", [(-1, 2), (2, -1)])
+def test_grid_rejects_a_negative_side(d, c):
+    with pytest.raises(ValueError, match="nonnegative"):
+        Grid(d, c)
+
+
+def test_equal_grids_are_one_context_key():
+    a, b = Grid(2, 3), Grid(2, 3)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != Grid(3, 2)
+    assert _context(a) is _context(b)
 
 
 # --- the Wu route against the per-term conversion ----------------------------
