@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from collections.abc import Iterator
 from concurrent import futures  # ProcessPoolExecutor, and multiprocessing, load on first use
 from contextlib import nullcontext
@@ -69,48 +70,23 @@ class TableFailed(RuntimeError):
     """A table cell raised or the table is not symmetric; this is a bug."""
 
 
-class ResultRecord:
-    """One verified cell; ``FIELDS`` are its attributes in record order."""
-
-    FIELDS = (
-        "n", "d", "m", "computed_total", "per_degree", "predicted", "status", "method", "elapsed_ms"
+class ResultRecord(
+    namedtuple(
+        "ResultRecord", "n d m computed_total per_degree predicted status method elapsed_ms"
     )
+):
+    """One verified cell; ``_fields`` are its fields in record order."""
 
-    def __init__(
-        self,
-        n: int,
-        d: int,
-        m: int,
-        computed_total: int,
-        per_degree: tuple[tuple[int, int], ...],
-        predicted: int,
-        status: str,
-        method: str,
-        elapsed_ms: int,
-    ) -> None:
-        self.n, self.d, self.m = n, d, m
-        self.computed_total, self.per_degree, self.predicted = computed_total, per_degree, predicted
-        self.status, self.method, self.elapsed_ms = status, method, elapsed_ms
-
-    def _as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResultRecord):
-            return NotImplemented
-        return self._as_dict() == other._as_dict()
-
-    def __repr__(self) -> str:
-        return f"ResultRecord({', '.join(f'{k}={v!r}' for k, v in self._as_dict().items())})"
+    __slots__ = ()
 
     def to_json(self) -> str:
-        return json.dumps(self._as_dict())
+        return json.dumps(self._asdict())
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ResultRecord":
         """The record in ``raw``, ignoring extra keys; a missing key is a KeyError."""
-        rec = cls(*(raw[name] for name in cls.FIELDS))
-        rec.per_degree = tuple((t, v) for t, v in rec.per_degree)
+        rec = cls(*(raw[name] for name in cls._fields))
+        rec = rec._replace(per_degree=tuple((t, v) for t, v in rec.per_degree))
         if rec.status not in (STATUS_PROVEN, STATUS_CONJECTURE, STATUS_MISMATCH):
             raise ValueError(f"unknown status {rec.status!r}")
         return rec
@@ -240,8 +216,9 @@ def table_rows(n: int, dmax: int, cmax: int, limit: int | None = None) -> list[d
 
 
 def table_csv(rows: list[dict]) -> str:
+    """The CSV of ``table_rows``, in its (d, c) order."""
     lines = [CSV_HEADER]
-    for row in sorted(rows, key=lambda r: (r["d"], r["c"])):
+    for row in rows:
         lines.append(f"{row['d']},{row['c']},{row['value']},{row['status']},{row['method']}")
     return "\n".join(lines) + "\n"
 

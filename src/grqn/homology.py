@@ -4,7 +4,8 @@ Matrices are stored per cohomological degree as tuples of column bitmasks
 packed into Python ints, so elimination works a full row of bits at a time.
 Degree blocks never get assembled into one big matrix.  This is the
 package's only GF(2) linear algebra: other modules take their column
-products and inverses from here.
+products from here.  The one basis change the package makes is
+unitriangular, and ``schubert`` solves it by forward substitution.
 """
 
 from __future__ import annotations
@@ -31,25 +32,6 @@ def _echelon(cols: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _kernel_basis(cols: Sequence[int]) -> list[int]:
-    """Masks over column indices spanning the kernel."""
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel: list[int] = []
-    for j, v in enumerate(cols):
-        combo = 1 << j
-        while v:
-            b = v.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = (v, combo)
-                break
-            v ^= p[0]
-            combo ^= p[1]
-        else:
-            kernel.append(combo)
-    return kernel
-
-
 def column_product(cols: Sequence[int], mask: int) -> int:
     """The image of the vector ``mask`` under the matrix with columns ``cols``."""
     out = 0
@@ -58,22 +40,6 @@ def column_product(cols: Sequence[int], mask: int) -> int:
         out ^= cols[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-def invert(cols: Sequence[int]) -> list[int]:
-    """Columns of the inverse of a square bit matrix given by its columns.
-
-    The kernel of ``[A | I]`` pairs each x with A x.  The columns of A come
-    first, so a singular A puts a kernel vector with no bit from I first;
-    otherwise kernel vector i comes from column i of I, and its low bits
-    are column i of the inverse.
-    """
-    size = len(cols)
-    kernel = _kernel_basis([*cols, *(1 << i for i in range(size))])
-    if kernel and not kernel[0] >> size:
-        raise RuntimeError("bit matrix is singular; basis change failed")
-    low = (1 << size) - 1
-    return [v & low for v in kernel]
 
 
 class GradedMap:

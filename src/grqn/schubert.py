@@ -12,10 +12,13 @@ monomial w_1^(r_1)..w_d^(r_d) is a packed int: r_j sits in slot j - 1 of
 Both bases come from the bead words: lam gives s_lam and the monomial
 with one w_j per column of length j.  One dict gives every word its place
 in its degree, the bit it sets in a column, as a word fixes its degree.
-Per-grid state (both bases, that index, multiplication blocks, the
-conversion cache and each degree's inverse basis change) is kept in a
-small LRU of immutable-once-built contexts; all cached values are
-deterministic, so concurrent use cannot produce divergent results.
+The monomial of lam is e_(lam') = s_lam plus Schubert classes of smaller
+words (Macdonald I.6), so each degree's basis change is unitriangular and
+the Wu route solves it by forward substitution.
+Per-grid state (both bases, that index, multiplication blocks and the
+conversion cache) is kept in a small LRU of immutable-once-built
+contexts; all cached values are deterministic, so concurrent use cannot
+produce divergent results.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from collections.abc import Iterable
 from functools import cached_property, lru_cache
 
 from . import steenrod
-from .homology import GradedMap, column_product, invert
+from .homology import GradedMap, column_product
 from .young import bits, lenart_strips, partitions_in_grid, sized_vertical_strips
 
 
@@ -71,7 +74,6 @@ class _GridContext:
         self.index = {w: i for words in self.basis.values() for i, w in enumerate(words)}
         self._pieri: dict[int, list[tuple[int, ...]]] = {}
         self._convert: dict[int, dict[int, int]] = {0: {0: 1}}
-        self._inverse: dict[int, list[int]] = {}
 
     def pieri_block(self, j: int, t: int) -> tuple[int, ...]:
         """Columns of multiplication by w_j, 1 <= j <= d, from degree t to degree t + j.
@@ -129,7 +131,9 @@ class _GridContext:
         The word of lam gives w_1^(lam_1 - lam_2)..w_d^(lam_d): r_j counts the
         empty slots between beads j - 1 and j (from the top, from 0), and r_d
         is the lowest bead's slot.  This is a bijection onto the monomials with
-        at most c factors.  In descending order ``invert`` takes over twice as long.
+        at most c factors.  The order is the reverse of ``basis``, so a
+        monomial's lower Schubert terms, all of smaller words, come before it:
+        ``free_operator_matrix`` relies on that to solve by substitution.
         """
         d, slot = self.grid.d, self.slot
 
@@ -138,15 +142,6 @@ class _GridContext:
             return sum(beads[j] - beads[j + 1] - 1 << slot * j for j in range(d))
 
         return {t: [monomial(w) for w in reversed(words)] for t, words in self.basis.items()}
-
-    def inverse(self, t: int) -> list[int]:
-        """Columns of the inverse of the degree-t monomial-to-Schubert change."""
-        cached = self._inverse.get(t)
-        if cached is not None:
-            return cached
-        inv = invert([self.convert(r, t) for r in self.monomials[t]])
-        self._inverse[t] = inv
-        return inv
 
 
 @lru_cache(maxsize=16)
@@ -188,8 +183,12 @@ def free_operator_matrix(
     converted to the Schubert basis once, and the products are reached from
     it through the Pieri chain walk, output degree by output degree: after
     degree s no later product has a direct prefix of degree s - d or less,
-    so those buckets are dropped.  The result is conjugated through the
-    grid's basis change, inverted once per degree and kept.
+    so those buckets are dropped.  The result is pushed through the grid's
+    basis change by forward substitution: the monomial of the word at index
+    i converts to s_i plus classes at larger indices, solved before it in
+    ascending word order, so the operator's column i is the monomial's
+    image plus their columns.  A basis change that is not unitriangular is a
+    ``RuntimeError``.
     """
     ctx = _context(grid)
     slot, d = grid.slot, grid.d
@@ -209,14 +208,20 @@ def free_operator_matrix(
     blocks: dict[int, tuple[int, ...]] = {}
     for t in range(grid.top_degree - shift + 1):
         s = t + shift
-        c_cols = []
-        for r in ctx.monomials[t]:
+        monomials = ctx.monomials[t]
+        cols = [0] * len(monomials)
+        for i, r in zip(reversed(range(len(cols))), monomials):
             out = 0
             for bit, _, chain in chains:
                 if r & bit == bit:
                     out ^= ctx.product(chain, r - bit, s, bit)
-            c_cols.append(out)
-        blocks[t] = tuple(column_product(c_cols, x) for x in ctx.inverse(t))
+            b = ctx.convert(r, t)
+            if b & (2 << i) - 1 != 1 << i:
+                raise RuntimeError(
+                    f"basis change at degree {t} of grid {grid.d}x{grid.c} is not unitriangular"
+                )
+            cols[i] = out ^ column_product(cols, b ^ 1 << i)
+        blocks[t] = tuple(cols)
         for _, t0, chain in chains:
             for k in [k for k in chain if t0 < k <= s - d]:
                 del chain[k]

@@ -3,10 +3,11 @@
 The strip rule here is the generate-and-filter form: every grid partition
 above lam at the right distance, each tested span by span.  The library's
 ``lenart_strips`` walks the odd-coefficient strips directly instead.  The
-skew-shape layer, the dense rank and the total square serve only as
-oracles and test helpers; the library itself works on bit-packed vectors
-and on bead words, and ``word``/``partition`` translate between a bead
-word and the partition tuple the oracles use.
+skew-shape layer, the dense rank, the kernel and inverse of bit matrices
+and the total square serve only as oracles and test helpers; the library
+itself works on bit-packed vectors and on bead words, and
+``word``/``partition`` translate between a bead word and the partition
+tuple the oracles use.
 
 The tuple Stiefel-Whitney ring with its Wu-formula squares and
 commutator-recursion primitives is the reference for the library's
@@ -15,9 +16,10 @@ monomial into the library's packed int.  The closed-form identities and the
 cofiber's induced-map check below have no caller in the CLI.
 
 The per-term Wu route converts every term w^(r - e_j) * v of every image
-on its own, and ``vertical_strips`` lists the strips of one size; the
-library converts each generator image once and walks the strips of all
-sizes at once.
+on its own and pushes the result through each degree's basis change by a
+general inverse, and ``vertical_strips`` lists the strips of one size; the
+library converts each generator image once, solves its unitriangular
+basis change by substitution, and walks the strips of all sizes at once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 from grqn import steenrod
 from grqn.cofiber import _full_complex, _ideal_cut
 from grqn.formulas import InvalidCell, _binomial_sum, _cofiber_sum, _comb, _grassmannian_sum
-from grqn.homology import GradedMap, _echelon, _kernel_basis, column_product
+from grqn.homology import GradedMap, _echelon, column_product
 from grqn.schubert import Grid, _context
 from grqn.young import bits, partitions_in_grid
 
@@ -749,7 +751,8 @@ def per_term_operator_matrix(
             for u in image(r):
                 out ^= ctx.convert(u, s)
             c_cols.append(out)
-        blocks[t] = tuple(column_product(c_cols, x) for x in ctx.inverse(t))
+        inverse = invert([ctx.convert(r, t) for r in ctx.monomials[t]])
+        blocks[t] = tuple(column_product(c_cols, x) for x in inverse)
     return GradedMap(shift, spaces, blocks)
 
 
@@ -770,6 +773,41 @@ def per_term_twisted_complex(n: int, d: int, m: int) -> GradedMap:
 
 
 # --- dense linear algebra and the total square -----------------------------------
+
+
+def _kernel_basis(cols: Sequence[int]) -> list[int]:
+    """Masks over column indices spanning the kernel."""
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel: list[int] = []
+    for j, v in enumerate(cols):
+        combo = 1 << j
+        while v:
+            b = v.bit_length() - 1
+            p = pivots.get(b)
+            if p is None:
+                pivots[b] = (v, combo)
+                break
+            v ^= p[0]
+            combo ^= p[1]
+        else:
+            kernel.append(combo)
+    return kernel
+
+
+def invert(cols: Sequence[int]) -> list[int]:
+    """Columns of the inverse of a square bit matrix given by its columns.
+
+    The kernel of ``[A | I]`` pairs each x with A x.  The columns of A come
+    first, so a singular A puts a kernel vector with no bit from I first;
+    otherwise kernel vector i comes from column i of I, and its low bits
+    are column i of the inverse.
+    """
+    size = len(cols)
+    kernel = _kernel_basis([*cols, *(1 << i for i in range(size))])
+    if kernel and not kernel[0] >> size:
+        raise RuntimeError("bit matrix is singular; basis change failed")
+    low = (1 << size) - 1
+    return [v & low for v in kernel]
 
 
 def rank(matrix: Sequence[Sequence[int]]) -> int:

@@ -330,8 +330,7 @@ def test_verify_sweep_block_of_24(tmp_path):
 def test_cache_roundtrip_and_last_writer_wins(tmp_path):
     cache = str(tmp_path / "cache.jsonl")
     rec = compute_cell(1, 2, 4)
-    stale = ResultRecord.from_dict(json.loads(rec.to_json()))
-    stale.computed_total = 99
+    stale = ResultRecord.from_dict(json.loads(rec.to_json()))._replace(computed_total=99)
     with open(cache, "w") as fh:
         fh.write(stale.to_json() + "\n")
         fh.write(rec.to_json() + "\n")

@@ -15,13 +15,13 @@ from grqn.homology import (
     NotADifferential,
     _echelon,
     column_product,
-    invert,
     qn_homology,
 )
 from grqn.schubert import Grid, lenart_qn_matrix, schubert_basis
 from oracles import (
     ideal_inclusion_induced_zero,
     ideal_subcomplex,
+    invert,
     partition,
     rank,
     restrict_selection,

@@ -96,6 +96,30 @@ def test_one_monomial_representation():
 TUPLE_RING = {"Polynomial", "Monomial", "pack", "sq", "milnor_q"}
 
 
+def general_inverse_uses(path):
+    """Where a file defines, imports or names the general GF(2) inverse or its kernel walk."""
+    tree = parsed(path)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in GENERAL_INVERSE:
+            yield f"{path.name}:{node.lineno} defines {node.name}"
+        elif isinstance(node, ast.alias) and node.name in GENERAL_INVERSE:
+            yield f"{path.name}:{node.lineno} imports {node.name}"
+    for target in GENERAL_INVERSE:
+        for node in references(tree, target):
+            yield f"{path.name}:{node.lineno} names {target}"
+
+
+def test_no_general_inverse_in_the_package():
+    # Each degree's basis change is unitriangular and solved by substitution,
+    # so a general inverse is a test oracle only.
+    assert list(general_inverse_uses(Path(__file__).parent / "oracles.py"))  # the scan finds it
+    found = [use for path in MODULES.values() for use in general_inverse_uses(path)]
+    assert not found, found
+
+
+GENERAL_INVERSE = {"invert", "_kernel_basis"}
+
+
 def lowest_set_bit_lines(path):
     """Lines using ``x & -x``, the lowest-set-bit step of a column walk."""
     for node in ast.walk(parsed(path)):

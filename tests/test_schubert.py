@@ -8,15 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grqn.cli import main
 from grqn.cofiber import _ideal_cut, twisted_complex
 from grqn.homology import _echelon
-from grqn.schubert import Grid, _context, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
+from grqn.schubert import (
+    Grid,
+    _context,
+    _GridContext,
+    derivation_qn_matrix,
+    lenart_qn_matrix,
+    schubert_basis,
+)
 from oracles import (
     conjugate,
     decode,
     dual_class,
     generator,
     grid_partitions,
+    invert,
     monomial_degree,
     pack,
     partition,
@@ -192,8 +201,8 @@ def test_monomial_conversion_matches_schur_oracle():
 
 
 def test_basis_change_is_invertible():
-    for d in range(1, 5):
-        for c in range(1, 7):
+    for d in range(8):
+        for c in range(8):
             g = Grid(d, c)
             ctx = _context(g)
             total = 0
@@ -201,10 +210,36 @@ def test_basis_change_is_invertible():
                 cols = [ctx.convert(u, t) for u in ctx.monomials[t]]
                 assert len(cols) == len(lams)
                 assert len(_echelon(cols)) == len(lams)
-                for s, x in enumerate(ctx.inverse(t)):
-                    assert sum_of_columns(cols, x) == 1 << s  # the cached inverse
+                # unitriangular: in ascending word order, the monomial of the
+                # word at index i is s_i plus classes at larger indices only
+                for i, col in zip(reversed(range(len(lams))), cols):
+                    assert col & (2 << i) - 1 == 1 << i, (d, c, t, i)
+                for s, x in enumerate(invert(cols)):
+                    assert sum_of_columns(cols, x) == 1 << s
                 total += len(lams)
             assert total == comb(d + c, d)
+
+
+def test_a_basis_change_that_is_not_unitriangular_is_caught(monkeypatch, capsys):
+    # Plant one bit of a larger word in the conversion of the degree-2
+    # monomial of the smallest word, (1, 1), on the 2x3 grid.
+    grid, degree = Grid(2, 3), 2
+    smallest = _context(grid).monomials[degree][0]
+    real = _GridContext.convert
+
+    def planted(self, u, t):
+        out = real(self, u, t)
+        if self.grid == grid and t == degree and u == smallest:
+            out ^= 1  # index 0, the degree's largest word
+        return out
+
+    monkeypatch.setattr(_GridContext, "convert", planted)
+    with pytest.raises(RuntimeError, match="basis change at degree 2 of grid 2x3 is not unitriangular"):
+        derivation_qn_matrix(1, grid)
+    assert main(["compute", "--n", "1", "--d", "2", "--m", "5", "--basis", "derivation"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("grqn: cell n=1 d=2 m=5: basis change at degree 2")
 
 
 def test_monomials_are_the_exponents_with_at_most_c_factors():
