@@ -3,9 +3,10 @@
 ``table`` and ``verify`` run their cells through one driver.  Cells are pure
 computations, so it groups them into tasks, the cells of a grid small enough
 for both routes as one task so that its context is built once, and runs the
-tasks longest first, serially or in a process pool.  ``verify`` appends each
-finished record to a JSON-lines cache in that dispatch order; ``table`` sorts
-its rows.  Outputs use a fixed field order to stay byte-reproducible.
+tasks longest first, serially or in forked workers that send their records
+back as JSON.  ``verify`` appends each finished record to a JSON-lines cache
+in that dispatch order; ``table`` sorts its rows.  Outputs use a fixed field
+order to stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import select
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Iterator
-from concurrent import futures  # ProcessPoolExecutor, and multiprocessing, load on first use
+from collections.abc import Callable, Iterator
 from contextlib import nullcontext
 from io import BufferedIOBase
 from itertools import chain, groupby
 from math import comb
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .cofiber import GridTooSmall, cofiber_homology, twisted_complex
 from .formulas import InvalidCell, check_cell, predicted_cofiber_k, predicted_delta_rank, predicted_k
@@ -68,6 +70,10 @@ class InvariantViolation(RuntimeError):
 
 class TableFailed(RuntimeError):
     """A table cell raised or the table is not symmetric; this is a bug."""
+
+
+class WorkerDied(RuntimeError):
+    """A sweep worker ended before it sent back its task's outcomes."""
 
 
 class ResultRecord(
@@ -302,6 +308,94 @@ def _sweep_task(cells: list[tuple[int, int, int, int]]) -> list[Outcome]:
     return [_sweep_cell(cell) for cell in cells]
 
 
+def _serve(fn: Callable, tasks: list[list], inbox: int, outbox: int) -> None:
+    """A worker's loop: run each task whose index comes in, send its outcomes out as JSON."""
+    with open(outbox, "wb") as out:
+        while line := os.read(inbox, 32):  # empty at end of file
+            outcomes = [(t, p._asdict() if t == "ok" else p) for t, p in fn(tasks[int(line)])]
+            data = json.dumps(outcomes).encode()
+            out.write(len(data).to_bytes(8, "little") + data)
+            out.flush()
+
+
+def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outcome]]:
+    """``map(fn, tasks)`` in at most ``jobs`` forked workers.
+
+    A worker reads task indices from its task pipe and sends each task's
+    outcomes down its result pipe as length-prefixed JSON.  Tasks go out in
+    order, each to whichever worker is free, and a task's outcomes are
+    yielded once it and every task before it are back.  A worker that dies
+    raises ``WorkerDied``.  However the map ends, every worker still holding
+    a task is killed, and every worker is reaped.
+    """
+    pending = iter(range(len(tasks)))
+    workers: dict[int, SimpleNamespace] = {}  # by the parent's end of the result pipe
+    done: dict[int, list[Outcome]] = {}
+    poller = select.poll()
+
+    def hand_out(worker: SimpleNamespace) -> None:
+        worker.task = next(pending, None)
+        if worker.task is not None:
+            try:
+                os.write(worker.inbox, b"%d\n" % worker.task)
+            except BrokenPipeError:  # the worker died; its result pipe ends next
+                pass
+        else:  # at end of file the worker exits
+            os.close(worker.inbox)
+            worker.inbox = None
+
+    def reap(worker: SimpleNamespace) -> int:
+        worker.reader.close()
+        if worker.inbox is not None:
+            os.close(worker.inbox)
+            # SIGKILL, a no-op on a worker that already died; the signal module costs 1 ms a launch
+            os.kill(worker.pid, 9)
+        return os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
+
+    try:
+        for _ in range(min(jobs, len(tasks))):
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:  # the worker keeps only its own two pipe ends
+                    for fd in (task_w, result_r, *workers, *(w.inbox for w in workers.values())):
+                        os.close(fd)
+                    _serve(fn, tasks, task_r, result_w)
+                    os._exit(0)
+                finally:  # reached only on an exception
+                    os._exit(1)
+            os.close(task_r)
+            os.close(result_w)
+            worker = SimpleNamespace(pid=pid, inbox=task_w, reader=open(result_r, "rb"))
+            workers[result_r] = worker
+            poller.register(result_r, select.POLLIN)
+            hand_out(worker)
+        for index in range(len(tasks)):
+            while index not in done:
+                for fd, _ in poller.poll():
+                    worker = workers[fd]
+                    head = worker.reader.read(8)
+                    size = int.from_bytes(head, "little")
+                    data = worker.reader.read(size)
+                    if len(head) < 8 or len(data) < size:  # the worker died
+                        n, d, m, _ = tasks[worker.task][0]
+                        status = reap(workers.pop(fd))
+                        raise WorkerDied(
+                            f"sweep worker died with exit status {status} on cell n={n} d={d} m={m}"
+                        )
+                    outcomes = json.loads(data)
+                    done[worker.task] = [
+                        (t, ResultRecord.from_dict(p) if t == "ok" else p) for t, p in outcomes
+                    ]
+                    hand_out(worker)
+                    if worker.task is None:
+                        poller.unregister(fd)
+            yield done.pop(index)
+    finally:
+        for worker in workers.values():
+            reap(worker)
+
+
 def _cells(n_range: range, d_range: range, c_range: range) -> list[tuple[int, int, int]]:
     """Every cell ``(n, d, m)`` in range, in (d, c, n) order, once the ranges are checked."""
     for name, values in (("n", n_range), ("d", d_range), ("c", c_range)):
@@ -320,8 +414,10 @@ def _sweep(
     A grid small enough for both routes is one task, its cells in n order,
     so its context is built once; a larger grid, on the Lenart route alone,
     is one task per cell, so its cells run in parallel.  The outcomes come
-    in task order: serially, each as soon as its cell is done; in a pool of
-    ``jobs`` workers, as soon as its task and every task before it are done.
+    in task order: serially, each as soon as its cell is done; with ``jobs``
+    > 1, from at most ``jobs`` forked workers (``_fork_map``), as soon as its
+    task and every task before it are done.  Where the platform cannot fork,
+    the tasks run serially.
     """
     tasks: list[list[tuple[int, int, int, int]]] = []
     for (d, m), grid in groupby(cells, key=itemgetter(1, 2)):
@@ -334,9 +430,8 @@ def _sweep(
     # comb(m, d); the sort is stable, so ties stay in (d, c, n) order.
     tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
     order = list(chain.from_iterable(tasks))
-    if jobs > 1 and len(tasks) > 1:
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from zip(order, chain.from_iterable(pool.map(_sweep_task, tasks)))
+    if jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
+        yield from zip(order, chain.from_iterable(_fork_map(_sweep_task, tasks, jobs)))
     else:
         yield from zip(order, map(_sweep_cell, order))
 
@@ -351,13 +446,14 @@ def verify_sweep(
 ) -> dict:
     """Evaluate every cell in range, skipping cache hits; append new records.
 
-    The cells still to compute go through ``_sweep`` with at most one worker
-    per CPU the process may run on, and each record is written and flushed
-    as the driver hands it over.  So an interrupted sweep keeps the cells
-    finished before the interruption, except those held behind a task still
-    running.  A cell that raises counts as a mismatch, or as a lower-bound
-    violation, and is reported on stderr; it gets no record, so the next
-    sweep retries it.  A cache that cannot be opened or read is a
+    The cells still to compute go through ``_sweep`` with at most one forked
+    worker per CPU the process may run on, and each record is written and
+    flushed as the driver hands it over.  So an interrupted sweep keeps the
+    cells finished before the interruption, except those held behind a task
+    still running; a worker that dies is such an interruption, and raises
+    ``WorkerDied``.  A cell that raises counts as a mismatch, or as a
+    lower-bound violation, and is reported on stderr; it gets no record, so
+    the next sweep retries it.  A cache that cannot be opened or read is a
     ``UsageError``, raised before any cell runs.
     """
     if jobs < 1:
@@ -446,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, InvalidCell, GridTooSmall, CellTooLarge, CacheCorrupt) as exc:
         print(f"grqn: error: {exc}", file=sys.stderr)
         return 2
-    except TableFailed as exc:
+    except (TableFailed, WorkerDied) as exc:
         print(f"grqn: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, NotADifferential) as exc:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -110,10 +111,9 @@ def test_compute_cell_rejects_a_broken_profile(monkeypatch, tmp_path, capsys, m,
 def test_verify_jobs_fall_back_to_cpu_count_without_affinity(tmp_path, monkeypatch):
     monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", RecordingPool)
-    RecordingPool.sizes.clear()
+    workers = RecordingForkMap(monkeypatch)
     verify_sweep(range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl"))
-    assert RecordingPool.sizes == [3]
+    assert workers.jobs == [3]
 
 
 def test_cell_limit_env_override(monkeypatch):
@@ -528,12 +528,12 @@ def test_a_failed_bug_check_on_one_cell_is_a_clean_error(monkeypatch, capsys, co
     assert captured.err.count("\n") == 1
 
 
-# Modules only a pooled sweep, or no command at all, needs.
+# Modules no command needs, a pooled sweep included.
 NOT_ON_THE_LAUNCH_PATH = (
     "dataclasses",
     "inspect",
     "typing",
-    "concurrent.futures.process",
+    "concurrent",
     "multiprocessing",
 )
 
@@ -548,27 +548,46 @@ def loaded_modules(statement):
     return set(out.stdout.split())
 
 
+def off_the_launch_path(modules):
+    return [
+        name
+        for name in modules
+        for module in NOT_ON_THE_LAUNCH_PATH
+        if name == module or name.startswith(module + ".")
+    ]
+
+
 def test_the_cli_loads_neither_the_pool_nor_dataclasses():
     # Compared with a bare interpreter under the same flags and environment,
     # so modules a site hook preloads do not count.
     added = loaded_modules("import grqn.cli") - loaded_modules("pass")
     assert "grqn.cli" in added
-    found = [
-        name
-        for name in added
-        for module in NOT_ON_THE_LAUNCH_PATH
-        if name == module or name.startswith(module + ".")
-    ]
+    found = off_the_launch_path(added)
     assert not found, found
 
 
-def test_a_pooled_verify_in_a_fresh_process_loads_the_pool(tmp_path):
+def test_a_pooled_verify_in_a_fresh_process_forks_its_workers(tmp_path):
     cache = tmp_path / "c.jsonl"
-    argv = ["verify", "--n", "1", "--d", "1..2", "--c", "1", "--jobs", "2", "--cache", str(cache)]
-    statement = f"from grqn import cli\nassert cli.main({argv!r}) == 0"
-    pooled = "concurrent.futures.process" in loaded_modules(statement)
-    assert pooled == (cli._usable_cpus() > 1)  # two grids, two tasks: a pool when two CPUs
-    assert record_cells(cache) == [(1, 2, 3), (1, 1, 2)]
+    cell_range = ["--n", "1", "--d", "1..2", "--c", "1..2"]  # four grids, four tasks
+    argv = ["verify", *cell_range, "--jobs", "8", "--cache", str(cache)]
+    cpus = cli._usable_cpus()
+    forks = min(cpus, 4) if cpus > 1 else 0  # one worker per task, up to the CPUs
+    statement = "\n".join([
+        "import os",
+        "from grqn import cli",
+        "fork, forked = os.fork, []",
+        "os.fork = lambda: forked.append(1) or fork()",
+        f"assert cli.main({argv!r}) == 0",
+        f"assert len(forked) == {forks}, forked",
+    ])
+    added = loaded_modules(statement) - loaded_modules("pass")
+    assert "grqn.cli" in added
+    found = off_the_launch_path(added)
+    assert not found, found
+    serial = tmp_path / "serial.jsonl"
+    assert main(["verify", *cell_range, "--jobs", "1", "--cache", str(serial)]) == 0
+    assert records_without_timing(cache) == records_without_timing(serial)
+    assert len(read_lines(cache)) == 4
 
 
 def test_main_verify_with_every_cell_too_large_exits_1(tmp_path, monkeypatch, capsys):
@@ -688,25 +707,18 @@ def test_main_table_empty_range_is_an_error(capsys, bounds):
         table_rows(0, int(dmax), int(cmax))
 
 
-class RecordingPool:
-    """Stands in for the process pool: records its size, maps in process."""
+class RecordingForkMap:
+    """Stands in for the forked workers: records their count and the tasks, maps in process."""
 
-    sizes = []
-    tasks = []
+    def __init__(self, monkeypatch):
+        self.jobs = []
+        self.tasks = []
+        monkeypatch.setattr(cli, "_fork_map", self)
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        items = list(items)
-        self.tasks.extend(items)
-        return map(fn, items)
+    def __call__(self, fn, tasks, jobs):
+        self.jobs.append(jobs)
+        self.tasks.extend(tasks)
+        return map(fn, tasks)
 
 
 def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
@@ -714,12 +726,11 @@ def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
     # counts CPUs the process may not run on.
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", RecordingPool)
-    RecordingPool.sizes.clear()
+    workers = RecordingForkMap(monkeypatch)
     summary = verify_sweep(
         range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl")
     )
-    assert RecordingPool.sizes == [3]
+    assert workers.jobs == [3]
     assert summary["proven"] == 4
 
 
@@ -788,6 +799,30 @@ def test_parallel_sweep_keeps_every_cell_but_the_one_that_failed(tmp_path, monke
     monkeypatch.setattr(cli, "compute_cell", real)
     retry = verify_sweep(range(1, 2), range(1, 2), range(1, 6), cache_path=cache)
     assert retry["skipped"] == 4 and retry["mismatch"] == 0  # the failed cell is retried
+
+
+def test_a_dead_worker_is_a_clean_error_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    cache = str(tmp_path / "c.jsonl")
+    real = cli._sweep_task
+
+    def die_at_m4(cells):
+        if cells[0][2] == 4:
+            os._exit(3)
+        return real(cells)
+
+    monkeypatch.setattr(cli, "_sweep_task", die_at_m4)  # before the workers fork
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # so they fork on any host
+    argv = ["verify", "--n", "1", "--d", "1", "--c", "1..5", "--jobs", "2", "--cache", cache]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "grqn: sweep worker died with exit status 3 on cell n=1 d=1 m=4\n"
+    # whatever was written came before the dead task, one whole record a line
+    kept = [json.loads(line)["m"] for line in read_lines(cache)]
+    assert kept == [6, 5][: len(kept)]
+    assert Path(cache).read_text().count("\n") == len(kept) == len(load_cache(cache))
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_torn_last_cache_line_resumes_and_recomputes(tmp_path):
@@ -877,11 +912,10 @@ def test_resumed_sweep_builds_only_the_grids_with_uncached_cells(tmp_path, monke
 
 def test_pool_gets_a_grid_on_both_routes_whole_and_a_larger_grid_cell_by_cell(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "BOTH_METHOD_LIMIT", 5)  # the 2x2 grid, C(4, 2) = 6, is Lenart only
-    monkeypatch.setattr(cli.futures, "ProcessPoolExecutor", RecordingPool)
-    RecordingPool.tasks.clear()
+    workers = RecordingForkMap(monkeypatch)
     cache = tmp_path / "c.jsonl"
     verify_sweep(range(0, 2), range(1, 3), range(1, 3), jobs=2, cache_path=str(cache))
-    tasks = [[cell[:3] for cell in task] for task in RecordingPool.tasks]
+    tasks = [[cell[:3] for cell in task] for task in workers.tasks]
     # two cells of basis 3 weigh as much as one of basis 6; ties in (d, c, n) order
     assert tasks == [
         [(0, 1, 3), (1, 1, 3)],
@@ -904,14 +938,16 @@ def test_sweep_writes_largest_grid_first_each_in_n_order(tmp_path, jobs):
     assert cells[:4] == [(0, 3, 6), (1, 3, 6), (2, 3, 6), (0, 2, 5)]
 
 
-def test_killed_sweep_resumes_to_the_uninterrupted_records(tmp_path, capsys):
-    # One child sweeps the benchmark range and is killed as soon as its cache
-    # holds a complete record; resuming must finish with the same records.
-    cell_range = ["--n", "0..3", "--d", "1..6", "--c", "1..7"]
-    cache = tmp_path / "killed.jsonl"
+KILLED_RANGE = ["--n", "0..3", "--d", "1..6", "--c", "1..7"]  # the benchmark's sweep
+
+
+def kill_a_sweep_after_its_first_record(cache, *options):
+    """Start a sweep in its own session, SIGKILL it once its cache holds a record; its pid."""
     env = dict(os.environ, PYTHONPATH=str(Path(grqn.__file__).parents[1]))
-    argv = [sys.executable, "-m", "grqn.cli", "verify", *cell_range, "--cache", str(cache)]
-    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    argv = [sys.executable, "-m", "grqn.cli", "verify", *KILLED_RANGE, *options, "--cache", str(cache)]
+    child = subprocess.Popen(
+        argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
+    )
     try:
         deadline = time.monotonic() + 60
         while child.poll() is None and time.monotonic() < deadline:
@@ -922,14 +958,59 @@ def test_killed_sweep_resumes_to_the_uninterrupted_records(tmp_path, capsys):
     finally:
         child.wait()
     assert child.returncode == -signal.SIGKILL  # killed, so the sweep had not finished
+    return child.pid
+
+
+def test_killed_sweep_resumes_to_the_uninterrupted_records(tmp_path, capsys):
+    # One child sweeps the benchmark range and is killed as soon as its cache
+    # holds a complete record; resuming must finish with the same records.
+    cache = tmp_path / "killed.jsonl"
+    kill_a_sweep_after_its_first_record(cache)
     finished = len(load_cache(str(cache)))
     assert finished >= 1
-    assert main(["verify", *cell_range, "--cache", str(cache)]) == 0
+    assert main(["verify", *KILLED_RANGE, "--cache", str(cache)]) == 0
     assert json.loads(capsys.readouterr().out)["skipped"] == finished
     whole = tmp_path / "whole.jsonl"
-    assert main(["verify", *cell_range, "--cache", str(whole)]) == 0
+    assert main(["verify", *KILLED_RANGE, "--cache", str(whole)]) == 0
     assert records_without_timing(cache) == records_without_timing(whole)
     assert len(read_lines(whole)) == 4 * 6 * 7
+
+
+def process_group_ends(pgid, seconds):
+    """Whether every process in group ``pgid`` is gone within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def test_no_worker_outlives_a_killed_pooled_sweep(tmp_path, capsys):
+    # The sweep leads its own session, so its workers share its process group;
+    # once the sweep is killed they must see their pipes close and exit.
+    cache = tmp_path / "killed.jsonl"
+    pgid = kill_a_sweep_after_its_first_record(cache, "--jobs", "2")
+    gone = process_group_ends(pgid, 10)
+    if not gone:
+        os.killpg(pgid, signal.SIGKILL)  # leave nothing running behind a failure
+    assert gone, "a sweep worker outlived the killed sweep"
+    finished = len(load_cache(str(cache)))
+    assert finished >= 1
+    assert main(["verify", *KILLED_RANGE, "--cache", str(cache)]) == 0
+    assert json.loads(capsys.readouterr().out)["skipped"] == finished
+    whole = tmp_path / "whole.jsonl"
+    assert main(["verify", *KILLED_RANGE, "--cache", str(whole)]) == 0
+    # The kill can land between two records of one task, and the resumed
+    # sweep weighs that grid by its uncached cells alone: only the order of
+    # the records may differ.
+    key = itemgetter("n", "d", "m", "method")
+    assert sorted(records_without_timing(cache), key=key) == sorted(
+        records_without_timing(whole), key=key
+    )
+    assert len(read_lines(cache)) == 4 * 6 * 7
 
 
 def test_complete_last_record_without_line_break_is_kept(tmp_path):

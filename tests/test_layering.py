@@ -68,6 +68,27 @@ def test_no_call_time_or_type_checking_imports():
                 up = up.parent
 
 
+def absolute_imports(path):
+    """(line, module) for each module a file imports by absolute name."""
+    for node in ast.walk(parsed(path)):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_no_process_pool_in_the_package():
+    # A sweep forks its own workers, so no launch loads either pool package.
+    assert "os" in {module for _, module in absolute_imports(MODULES["cli"])}  # the scan works
+    found = [
+        f"{name}.py:{line} imports {module}"
+        for name, path in MODULES.items()
+        for line, module in absolute_imports(path)
+        if module.split(".")[0] in ("concurrent", "multiprocessing")
+    ]
+    assert not found, found
+
+
 def test_homology_imports_nothing_from_the_package():
     graph = import_graph()
     assert graph["homology"] == set()
