@@ -4,9 +4,10 @@
 computations, so it groups them into tasks, the cells of a grid small enough
 for both routes as one task so that its context is built once, and runs the
 tasks longest first, serially or in forked workers that send their records
-back as JSON.  ``verify`` appends each finished record to a JSON-lines cache
-in that dispatch order; ``table`` sorts its rows.  Outputs use a fixed field
-order to stay byte-reproducible.
+back as JSON; a cell over the size cutoff never becomes a task.  ``verify``
+appends each finished record to a JSON-lines cache in that dispatch order;
+``table`` sorts its rows.  Outputs use a fixed field order to stay
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import sys
 import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from contextlib import nullcontext
 from io import BufferedIOBase
 from itertools import chain, groupby
 from math import comb
@@ -111,7 +111,7 @@ def cell_limit() -> int:
     raise UsageError(f"{CELL_LIMIT_ENV} must be a nonnegative integer, got {raw!r}")
 
 
-def default_method(n: int, d: int, m: int) -> str:
+def default_method(d: int, m: int) -> str:
     """Run both constructions while cheap, the strip formula alone beyond."""
     return METHOD_BOTH if comb(m, d) <= BOTH_METHOD_LIMIT else METHOD_LENART
 
@@ -130,9 +130,8 @@ def _build_matrix(n: int, grid: Grid, method: str):
     raise ValueError(f"unknown method {method!r}")
 
 
-def _check_size(d: int, m: int, limit: int | None) -> None:
-    size = comb(m, d)
-    cap = cell_limit() if limit is None else limit
+def _check_size(d: int, m: int) -> None:
+    size, cap = comb(m, d), cell_limit()
     if size > cap:
         raise CellTooLarge(f"basis size {size} exceeds limit {cap}")
 
@@ -156,12 +155,12 @@ def _check_invariants(n: int, d: int, m: int, profile: HomologyProfile) -> None:
                 )
 
 
-def compute_cell(n: int, d: int, m: int, basis: str = "auto", limit: int | None = None) -> ResultRecord:
+def compute_cell(n: int, d: int, m: int, basis: str = "auto") -> ResultRecord:
     """Build the cell's differential, take homology, check it, compare with prediction."""
     check_cell(n, d, m)
-    _check_size(d, m, limit)
+    _check_size(d, m)
     method = {
-        "auto": default_method(n, d, m),
+        "auto": default_method(d, m),
         "lenart": METHOD_LENART,
         "derivation": METHOD_DERIVATION,
         "both": METHOD_BOTH,
@@ -196,7 +195,7 @@ def compute_cell(n: int, d: int, m: int, basis: str = "auto", limit: int | None 
     )
 
 
-def table_rows(n: int, dmax: int, cmax: int, limit: int | None = None) -> list[dict]:
+def table_rows(n: int, dmax: int, cmax: int) -> list[dict]:
     """The (d, c) grid of computed totals, with oversize cells predicted only.
 
     The cells run serially through the sweep's driver.  A cell that raises,
@@ -205,7 +204,7 @@ def table_rows(n: int, dmax: int, cmax: int, limit: int | None = None) -> list[d
     cells = _cells(range(n, n + 1), range(1, dmax + 1), range(1, cmax + 1))
     rows = []
     totals: dict[tuple[int, int], int] = {}
-    for (_, d, m, _), (tag, payload) in _sweep(cells, cell_limit() if limit is None else limit):
+    for (_, d, m), (tag, payload) in _sweep(cells, cell_limit()):
         if tag == "ok":
             row = (payload.computed_total, payload.status, payload.method)
             totals[d, m] = payload.computed_total
@@ -222,17 +221,15 @@ def table_rows(n: int, dmax: int, cmax: int, limit: int | None = None) -> list[d
 
 
 def table_csv(rows: list[dict]) -> str:
-    """The CSV of ``table_rows``, in its (d, c) order."""
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(f"{row['d']},{row['c']},{row['value']},{row['status']},{row['method']}")
+    """The CSV of ``table_rows``, in its (d, c) order; a row's fields are in header order."""
+    lines = [CSV_HEADER, *(",".join(map(str, row.values())) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
-def cofiber_report(n: int, d: int, m: int, limit: int | None = None) -> dict:
+def cofiber_report(n: int, d: int, m: int) -> dict:
     """Reduced cofiber homology, connecting rank, predictions, twist check."""
     check_cell(n, d, m, least_d=1)
-    _check_size(d, m, limit)
+    _check_size(d, m)
     sub_profile, delta = cofiber_homology(n, d, m)
     twisted = qn_homology(twisted_complex(n, d, m))
     return {
@@ -248,35 +245,29 @@ def cofiber_report(n: int, d: int, m: int, limit: int | None = None) -> dict:
     }
 
 
-_UNREADABLE = (ValueError, KeyError, TypeError)
-
-
-def load_cache(source: str | BufferedIOBase) -> dict[tuple[int, int, int, str], ResultRecord]:
-    """Records by key, from a path or from the start of a binary file.
+def load_cache(handle: BufferedIOBase) -> dict[tuple[int, int, int, str], ResultRecord]:
+    """Records by key, from the start of a binary file.
 
     An unreadable last line with no line break is a write that was cut off
-    and is skipped; any other unreadable line raises ``CacheCorrupt``.  A
+    and is skipped; any other unreadable line raises ``CacheCorrupt``.  The
     file is left at the end of its last readable record, before that
     record's line break: where a writer resuming the cache cuts it off.
     """
     records: dict[tuple[int, int, int, str], ResultRecord] = {}
-    if isinstance(source, str) and not os.path.exists(source):
-        return records
-    with open(source, "rb") if isinstance(source, str) else nullcontext(source) as handle:
-        handle.seek(0)
-        start = end = 0
-        for lineno, raw in enumerate(handle.read().splitlines(keepends=True), start=1):
-            if raw.strip():
-                try:
-                    rec = ResultRecord.from_dict(json.loads(raw))
-                except _UNREADABLE as exc:
-                    if not raw.endswith((b"\n", b"\r")):  # only the last line can end so
-                        break
-                    raise CacheCorrupt(f"cache line {lineno} is unreadable: {exc}") from exc
-                records[(rec.n, rec.d, rec.m, rec.method)] = rec
-                end = start + len(raw.rstrip())
-            start += len(raw)
-        handle.seek(end)
+    handle.seek(0)
+    start = end = 0
+    for lineno, raw in enumerate(handle.read().splitlines(keepends=True), start=1):
+        if raw.strip():
+            try:
+                rec = ResultRecord.from_dict(json.loads(raw))
+            except (ValueError, KeyError, TypeError) as exc:
+                if not raw.endswith((b"\n", b"\r")):  # only the last line can end so
+                    break
+                raise CacheCorrupt(f"cache line {lineno} is unreadable: {exc}") from exc
+            records[(rec.n, rec.d, rec.m, rec.method)] = rec
+            end = start + len(raw.rstrip())
+        start += len(raw)
+    handle.seek(end)
     return records
 
 
@@ -292,37 +283,25 @@ def _usable_cpus() -> int:
 Outcome = tuple[str, ResultRecord | str | None]
 
 
-def _sweep_cell(args: tuple[int, int, int, int]) -> Outcome:
-    n, d, m, cap = args
+def _sweep_cell(cell: tuple[int, int, int]) -> Outcome:
+    n, d, m = cell
     try:
-        return "ok", compute_cell(n, d, m, limit=cap)
-    except CellTooLarge:
-        return "too_large", None
+        return "ok", compute_cell(n, d, m)
     except Exception as exc:  # one failing cell must not end the sweep
         tag = "lower_bound" if isinstance(exc, LowerBoundViolation) else "failed"
         return tag, f"cell n={n} d={d} m={m}: {exc}"
 
 
-def _sweep_task(cells: list[tuple[int, int, int, int]]) -> list[Outcome]:
+def _sweep_task(cells: list[tuple[int, int, int]]) -> list[Outcome]:
     """One task's cells in n order, so a grid's context is built once for all."""
     return [_sweep_cell(cell) for cell in cells]
-
-
-def _serve(fn: Callable, tasks: list[list], inbox: int, outbox: int) -> None:
-    """A worker's loop: run each task whose index comes in, send its outcomes out as JSON."""
-    with open(outbox, "wb") as out:
-        while line := os.read(inbox, 32):  # empty at end of file
-            outcomes = [(t, p._asdict() if t == "ok" else p) for t, p in fn(tasks[int(line)])]
-            data = json.dumps(outcomes).encode()
-            out.write(len(data).to_bytes(8, "little") + data)
-            out.flush()
 
 
 def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outcome]]:
     """``map(fn, tasks)`` in at most ``jobs`` forked workers.
 
     A worker reads task indices from its task pipe and sends each task's
-    outcomes down its result pipe as length-prefixed JSON.  Tasks go out in
+    outcomes down its result pipe as one line of JSON.  Tasks go out in
     order, each to whichever worker is free, and a task's outcomes are
     yielded once it and every task before it are back.  A worker that dies
     raises ``WorkerDied``.  However the map ends, every worker still holding
@@ -360,7 +339,12 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outco
                 try:  # the worker keeps only its own two pipe ends
                     for fd in (task_w, result_r, *workers, *(w.inbox for w in workers.values())):
                         os.close(fd)
-                    _serve(fn, tasks, task_r, result_w)
+                    with open(result_w, "wb") as out:
+                        while line := os.read(task_r, 32):  # empty at end of file
+                            outcomes = fn(tasks[int(line)])
+                            raw = [(t, p._asdict() if t == "ok" else p) for t, p in outcomes]
+                            out.write(json.dumps(raw).encode() + b"\n")  # JSON escapes line breaks
+                            out.flush()
                     os._exit(0)
                 finally:  # reached only on an exception
                     os._exit(1)
@@ -374,18 +358,15 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outco
             while index not in done:
                 for fd, _ in poller.poll():
                     worker = workers[fd]
-                    head = worker.reader.read(8)
-                    size = int.from_bytes(head, "little")
-                    data = worker.reader.read(size)
-                    if len(head) < 8 or len(data) < size:  # the worker died
-                        n, d, m, _ = tasks[worker.task][0]
+                    line = worker.reader.readline()
+                    if not line.endswith(b"\n"):  # the worker died
+                        n, d, m = tasks[worker.task][0]
                         status = reap(workers.pop(fd))
                         raise WorkerDied(
                             f"sweep worker died with exit status {status} on cell n={n} d={d} m={m}"
                         )
-                    outcomes = json.loads(data)
                     done[worker.task] = [
-                        (t, ResultRecord.from_dict(p) if t == "ok" else p) for t, p in outcomes
+                        (t, ResultRecord.from_dict(p) if t == "ok" else p) for t, p in json.loads(line)
                     ]
                     hand_out(worker)
                     if worker.task is None:
@@ -408,10 +389,12 @@ def _cells(n_range: range, d_range: range, c_range: range) -> list[tuple[int, in
 
 def _sweep(
     cells: list[tuple[int, int, int]], cap: int, jobs: int = 1
-) -> Iterator[tuple[tuple[int, int, int, int], Outcome]]:
-    """Each of ``cells``, given in (d, c, n) order, as ``(n, d, m, cap)`` with its outcome.
+) -> Iterator[tuple[tuple[int, int, int], Outcome]]:
+    """Each of ``cells``, given in (d, c, n) order, with its outcome.
 
-    A grid small enough for both routes is one task, its cells in n order,
+    A cell whose basis size comb(m, d) exceeds ``cap`` runs nowhere: it is
+    yielded as ``"too_large"`` before any cell runs.  Of the other grids,
+    one small enough for both routes is one task, its cells in n order,
     so its context is built once; a larger grid, on the Lenart route alone,
     is one task per cell, so its cells run in parallel.  The outcomes come
     in task order: serially, each as soon as its cell is done; with ``jobs``
@@ -419,10 +402,12 @@ def _sweep(
     task and every task before it are done.  Where the platform cannot fork,
     the tasks run serially.
     """
-    tasks: list[list[tuple[int, int, int, int]]] = []
+    tasks: list[list[tuple[int, int, int]]] = []
     for (d, m), grid in groupby(cells, key=itemgetter(1, 2)):
-        grid = [(n, d, m, cap) for n, _, _ in grid]
-        if default_method(0, d, m) == METHOD_BOTH:
+        grid = list(grid)
+        if comb(m, d) > cap:
+            yield from ((cell, ("too_large", None)) for cell in grid)
+        elif default_method(d, m) == METHOD_BOTH:
             tasks.append(grid)
         else:
             tasks.extend([cell] for cell in grid)
@@ -442,7 +427,6 @@ def verify_sweep(
     c_range: range,
     jobs: int = 1,
     cache_path: str = "grqn_cache.jsonl",
-    limit: int | None = None,
 ) -> dict:
     """Evaluate every cell in range, skipping cache hits; append new records.
 
@@ -459,7 +443,7 @@ def verify_sweep(
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     cells = _cells(n_range, d_range, c_range)
-    cap = cell_limit() if limit is None else limit
+    cap = cell_limit()
     try:
         handle = open(cache_path, "a+b")
     except OSError as exc:
@@ -472,7 +456,7 @@ def verify_sweep(
             handle.write(b"\n")  # ends that record's line
         todo = []
         for n, d, m in cells:
-            rec = cache.get((n, d, m, default_method(n, d, m)))
+            rec = cache.get((n, d, m, default_method(d, m)))
             if rec is None:
                 todo.append((n, d, m))
             else:

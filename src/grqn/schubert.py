@@ -16,9 +16,9 @@ The monomial of lam is e_(lam') = s_lam plus Schubert classes of smaller
 words (Macdonald I.6), so each degree's basis change is unitriangular and
 the Wu route solves it by forward substitution.
 Per-grid state (both bases, that index, multiplication blocks and the
-conversion cache) is kept in a small LRU of immutable-once-built
-contexts; all cached values are deterministic, so concurrent use cannot
-produce divergent results.
+conversion cache) is kept for the last grid used only, as every command
+uses its grids one after another; all cached values are deterministic, so
+concurrent use cannot produce divergent results.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ class _GridContext:
         return {t: [monomial(w) for w in reversed(words)] for t, words in self.basis.items()}
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _context(grid: Grid) -> _GridContext:
     return _GridContext(grid)
 

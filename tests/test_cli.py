@@ -76,9 +76,10 @@ def test_compute_cell_validates_input():
         compute_cell(1, 5, 3)
 
 
-def test_compute_cell_respects_limit():
+def test_compute_cell_respects_limit(monkeypatch):
+    monkeypatch.setenv("GRQN_CELL_LIMIT", "5")
     with pytest.raises(CellTooLarge):
-        compute_cell(1, 2, 5, limit=5)
+        compute_cell(1, 2, 5)
 
 
 def plant_profile(monkeypatch, per_degree):
@@ -130,8 +131,8 @@ def test_cell_limit_env_override(monkeypatch):
 
 
 def test_default_method_cutover():
-    assert default_method(1, 2, 4) == "Both"
-    assert default_method(2, 10, 30) == "Lenart"
+    assert default_method(2, 4) == "Both"
+    assert default_method(10, 30) == "Lenart"
 
 
 def test_table_csv_golden_block():
@@ -291,7 +292,7 @@ def test_record_with_unknown_status_is_unreadable(tmp_path):
         ResultRecord.from_dict(raw)
     cache = tmp_path / "c.jsonl"
     cache.write_text(json.dumps(raw))  # a last line with no line break is a torn write
-    assert load_cache(str(cache)) == {}
+    assert load_cache_at(cache) == {}
 
 
 def test_json_stable_apart_from_timing():
@@ -334,7 +335,7 @@ def test_cache_roundtrip_and_last_writer_wins(tmp_path):
     with open(cache, "w") as fh:
         fh.write(stale.to_json() + "\n")
         fh.write(rec.to_json() + "\n")
-    loaded = load_cache(cache)
+    loaded = load_cache_at(cache)
     assert loaded[(1, 2, 4, rec.method)] == rec
 
 
@@ -345,7 +346,7 @@ def test_cache_corruption_reports_line(tmp_path):
         fh.write(rec.to_json() + "\n")
         fh.write("{not json\n")
     with pytest.raises(CacheCorrupt, match="line 2"):
-        load_cache(cache)
+        load_cache_at(cache)
 
 
 def test_verify_parallel_matches_serial(tmp_path):
@@ -619,6 +620,7 @@ def assert_clean_error(capsys, code):
     assert captured.out == ""
     assert captured.err.startswith("grqn: error: ")
     assert "Traceback" not in captured.err
+    return captured
 
 
 def test_main_compute_invalid_cell_is_an_error(capsys):
@@ -629,12 +631,27 @@ def test_main_cofiber_without_codimension_is_an_error(capsys):
     assert_clean_error(capsys, main(["cofiber", "--n", "1", "--d", "3", "--m", "3"]))
 
 
-def test_main_bad_cell_limit_is_an_error(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--n", "1", "--d", "2", "--m", "4"],
+        ["table", "--n", "1", "--dmax", "2", "--cmax", "2"],
+        ["verify", "--n", "1", "--d", "1..2", "--c", "1..2"],
+        ["cofiber", "--n", "1", "--d", "2", "--m", "4"],
+    ],
+    ids=itemgetter(0),
+)
+def test_main_bad_cell_limit_is_an_error(tmp_path, monkeypatch, capsys, argv):
+    cache = tmp_path / "c.jsonl"
+    if argv[0] == "verify":
+        argv = [*argv, "--cache", str(cache)]
     for raw in ("abc", "\u00b2"):  # a superscript two is a digit that int() rejects
         monkeypatch.setenv("GRQN_CELL_LIMIT", raw)
-        code = main(["compute", "--n", "1", "--d", "2", "--m", "4"])
+        code = main(argv)
         assert code == 2
-        assert_clean_error(capsys, code)
+        err = assert_clean_error(capsys, code).err
+        assert err.count("\n") == 1 and err.startswith("grqn: error: GRQN_CELL_LIMIT ")
+    assert not cache.exists()
 
 
 def test_main_verify_empty_range_is_an_error(tmp_path, capsys):
@@ -739,6 +756,12 @@ def read_lines(path):
         return fh.read().splitlines()
 
 
+def load_cache_at(path):
+    """The records of the cache file at ``path``, as a sweep loads them."""
+    with open(path, "rb") as fh:
+        return load_cache(fh)
+
+
 def test_sweep_keeps_records_finished_before_a_crash(tmp_path, monkeypatch, capsys):
     cache = str(tmp_path / "c.jsonl")
     real = cli.compute_cell
@@ -820,7 +843,7 @@ def test_a_dead_worker_is_a_clean_error_and_leaves_no_child(tmp_path, monkeypatc
     # whatever was written came before the dead task, one whole record a line
     kept = [json.loads(line)["m"] for line in read_lines(cache)]
     assert kept == [6, 5][: len(kept)]
-    assert Path(cache).read_text().count("\n") == len(kept) == len(load_cache(cache))
+    assert Path(cache).read_text().count("\n") == len(kept) == len(load_cache_at(cache))
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -831,7 +854,7 @@ def test_torn_last_cache_line_resumes_and_recomputes(tmp_path):
     lines = read_lines(cache)
     with open(cache, "w") as fh:
         fh.write("\n".join(lines[:2]) + "\n" + lines[2][:25])  # the third write cut off
-    assert len(load_cache(cache)) == 2
+    assert len(load_cache_at(cache)) == 2
     summary = verify_sweep(range(1, 2), range(1, 2), range(1, 4), cache_path=cache)
     assert summary["skipped"] == 2
     assert summary["proven"] + summary["conjecture_match"] == 3
@@ -839,7 +862,7 @@ def test_torn_last_cache_line_resumes_and_recomputes(tmp_path):
     assert again[:2] == lines[:2]
     assert len(again) == 3
     assert json.loads(again[2])["m"] == json.loads(lines[2])["m"]
-    assert len(load_cache(cache)) == 3
+    assert len(load_cache_at(cache)) == 3
 
 
 def records_without_timing(path):
@@ -888,6 +911,7 @@ def test_serial_sweep_builds_each_grid_context_once(tmp_path, monkeypatch):
     grids = list(dict.fromkeys((d, m - d) for n, d, m in cells))
     assert len(grids) == 25
     assert [(g.d, g.c) for g in built] == grids
+    assert schubert._context.cache_info().currsize == 1  # only the last grid's context is kept
 
 
 def test_resumed_sweep_builds_only_the_grids_with_uncached_cells(tmp_path, monkeypatch):
@@ -915,7 +939,7 @@ def test_pool_gets_a_grid_on_both_routes_whole_and_a_larger_grid_cell_by_cell(tm
     workers = RecordingForkMap(monkeypatch)
     cache = tmp_path / "c.jsonl"
     verify_sweep(range(0, 2), range(1, 3), range(1, 3), jobs=2, cache_path=str(cache))
-    tasks = [[cell[:3] for cell in task] for task in workers.tasks]
+    tasks = workers.tasks
     # two cells of basis 3 weigh as much as one of basis 6; ties in (d, c, n) order
     assert tasks == [
         [(0, 1, 3), (1, 1, 3)],
@@ -926,6 +950,23 @@ def test_pool_gets_a_grid_on_both_routes_whole_and_a_larger_grid_cell_by_cell(tm
     ]
     assert record_cells(cache) == [cell for task in tasks for cell in task]
     assert {r["method"] for r in records_without_timing(cache) if r["m"] == 4} == {"Lenart"}
+
+
+def test_no_oversize_cell_reaches_a_worker(tmp_path, monkeypatch):
+    # C(m, d) exceeds 9 on the grids 2x3, 3x2 and 3x3: six of the 18 cells
+    monkeypatch.setenv("GRQN_CELL_LIMIT", "9")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    workers = RecordingForkMap(monkeypatch)
+    pooled, serial = tmp_path / "pooled.jsonl", tmp_path / "serial.jsonl"
+    summary = verify_sweep(range(0, 2), range(1, 4), range(1, 4), jobs=2, cache_path=str(pooled))
+    assert workers.jobs == [2]
+    cells = [cell for task in workers.tasks for cell in task]
+    assert len(cells) == 12
+    assert all(math.comb(m, d) <= 9 for n, d, m in cells)
+    assert summary["skipped"] == 6
+    assert verify_sweep(range(0, 2), range(1, 4), range(1, 4), cache_path=str(serial)) == summary
+    assert records_without_timing(pooled) == records_without_timing(serial)
+    assert record_cells(pooled) == cells
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -939,6 +980,16 @@ def test_sweep_writes_largest_grid_first_each_in_n_order(tmp_path, jobs):
 
 
 KILLED_RANGE = ["--n", "0..3", "--d", "1..6", "--c", "1..7"]  # the benchmark's sweep
+
+
+def records_by_key(path):
+    """The records without timing, sorted by key.
+
+    A kill can land between two records of one task, and the resumed sweep
+    weighs that grid by its uncached cells alone, so it writes them later:
+    only the order of a resumed cache's records may differ.
+    """
+    return sorted(records_without_timing(path), key=itemgetter("n", "d", "m", "method"))
 
 
 def kill_a_sweep_after_its_first_record(cache, *options):
@@ -966,13 +1017,13 @@ def test_killed_sweep_resumes_to_the_uninterrupted_records(tmp_path, capsys):
     # holds a complete record; resuming must finish with the same records.
     cache = tmp_path / "killed.jsonl"
     kill_a_sweep_after_its_first_record(cache)
-    finished = len(load_cache(str(cache)))
+    finished = len(load_cache_at(cache))
     assert finished >= 1
     assert main(["verify", *KILLED_RANGE, "--cache", str(cache)]) == 0
     assert json.loads(capsys.readouterr().out)["skipped"] == finished
     whole = tmp_path / "whole.jsonl"
     assert main(["verify", *KILLED_RANGE, "--cache", str(whole)]) == 0
-    assert records_without_timing(cache) == records_without_timing(whole)
+    assert records_by_key(cache) == records_by_key(whole)
     assert len(read_lines(whole)) == 4 * 6 * 7
 
 
@@ -997,19 +1048,13 @@ def test_no_worker_outlives_a_killed_pooled_sweep(tmp_path, capsys):
     if not gone:
         os.killpg(pgid, signal.SIGKILL)  # leave nothing running behind a failure
     assert gone, "a sweep worker outlived the killed sweep"
-    finished = len(load_cache(str(cache)))
+    finished = len(load_cache_at(cache))
     assert finished >= 1
     assert main(["verify", *KILLED_RANGE, "--cache", str(cache)]) == 0
     assert json.loads(capsys.readouterr().out)["skipped"] == finished
     whole = tmp_path / "whole.jsonl"
     assert main(["verify", *KILLED_RANGE, "--cache", str(whole)]) == 0
-    # The kill can land between two records of one task, and the resumed
-    # sweep weighs that grid by its uncached cells alone: only the order of
-    # the records may differ.
-    key = itemgetter("n", "d", "m", "method")
-    assert sorted(records_without_timing(cache), key=key) == sorted(
-        records_without_timing(whole), key=key
-    )
+    assert records_by_key(cache) == records_by_key(whole)
     assert len(read_lines(cache)) == 4 * 6 * 7
 
 
@@ -1022,7 +1067,7 @@ def test_complete_last_record_without_line_break_is_kept(tmp_path):
     summary = verify_sweep(range(1, 2), range(1, 2), range(1, 3), cache_path=cache)
     assert summary["skipped"] == 1
     assert read_lines(cache)[0] == lines[0]
-    assert len(load_cache(cache)) == 2
+    assert len(load_cache_at(cache)) == 2
 
 
 def test_unreadable_line_before_the_end_still_fails(tmp_path):

@@ -155,15 +155,16 @@ def test_pieri_blocks_restrict_along_the_inclusion():
         for c in range(7):
             big, small = Grid(d, c + 1), Grid(d, c)
             cut = _ideal_cut(big)
-            for t, words in schubert_basis(big).items():
-                assert words[cut[t] :] == schubert_basis(small).get(t, []), (d, c, t)
+            big_ctx, small_ctx = _context(big), _context(small)  # the cache keeps one grid
+            for t, words in big_ctx.basis.items():
+                assert words[cut[t] :] == small_ctx.basis.get(t, []), (d, c, t)
             for j in range(1, d + 1):
                 for t in range(big.top_degree - j + 1):
-                    cols = _context(big).pieri_block(j, t)
+                    cols = big_ctx.pieri_block(j, t)
                     low = cut[t + j]
                     assert not any(col >> low for col in cols[: cut[t]]), (d, c, j, t)
                     tail = [col >> low for col in cols[cut[t] :]]
-                    assert tail == list(_context(small).pieri_block(j, t)), (d, c, j, t)
+                    assert tail == list(small_ctx.pieri_block(j, t)), (d, c, j, t)
 
 
 # --- basis change ------------------------------------------------------------
@@ -372,9 +373,9 @@ def test_equal_grids_are_one_context_key():
 def test_wu_route_matches_the_per_term_route_on_small_grids():
     # Each generator image converted once and carried up Pieri chains gives
     # the same matrices as converting every term of every image on its own.
-    for n in range(4):
-        for d in range(7):
-            for c in range(7):
+    for d in range(7):  # n innermost, so each grid's context is built once
+        for c in range(7):
+            for n in range(4):
                 g = Grid(d, c)
                 assert derivation_qn_matrix(n, g) == per_term_derivation_matrix(n, g), (n, d, c)
                 if c:
