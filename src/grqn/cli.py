@@ -116,20 +116,6 @@ def default_method(d: int, m: int) -> str:
     return METHOD_BOTH if comb(m, d) <= BOTH_METHOD_LIMIT else METHOD_LENART
 
 
-def _build_matrix(n: int, grid: Grid, method: str):
-    if method == METHOD_LENART:
-        return lenart_qn_matrix(n, grid)
-    if method == METHOD_DERIVATION:
-        return derivation_qn_matrix(n, grid)
-    if method == METHOD_BOTH:
-        a = lenart_qn_matrix(n, grid)
-        b = derivation_qn_matrix(n, grid)
-        if a != b:
-            raise RuntimeError(f"matrix constructions disagree at n={n} grid={grid}")
-        return a
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _check_size(d: int, m: int) -> None:
     size, cap = comb(m, d), cell_limit()
     if size > cap:
@@ -165,8 +151,12 @@ def compute_cell(n: int, d: int, m: int, basis: str = "auto") -> ResultRecord:
         "derivation": METHOD_DERIVATION,
         "both": METHOD_BOTH,
     }[basis]
+    grid = Grid(d, m - d)
     start = time.perf_counter()
-    matrix = _build_matrix(n, Grid(d, m - d), method)
+    build = derivation_qn_matrix if method == METHOD_DERIVATION else lenart_qn_matrix
+    matrix = build(n, grid)
+    if method == METHOD_BOTH and derivation_qn_matrix(n, grid) != matrix:
+        raise RuntimeError(f"matrix constructions disagree at n={n} grid={grid}")
     profile = qn_homology(matrix)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     predicted = predicted_k(n, d, m)
@@ -292,13 +282,8 @@ def _sweep_cell(cell: tuple[int, int, int]) -> Outcome:
         return tag, f"cell n={n} d={d} m={m}: {exc}"
 
 
-def _sweep_task(cells: list[tuple[int, int, int]]) -> list[Outcome]:
-    """One task's cells in n order, so a grid's context is built once for all."""
-    return [_sweep_cell(cell) for cell in cells]
-
-
 def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outcome]]:
-    """``map(fn, tasks)`` in at most ``jobs`` forked workers.
+    """``map(fn, task)`` for each task, in at most ``jobs`` forked workers.
 
     A worker reads task indices from its task pipe and sends each task's
     outcomes down its result pipe as one line of JSON.  Tasks go out in
@@ -341,7 +326,7 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outco
                         os.close(fd)
                     with open(result_w, "wb") as out:
                         while line := os.read(task_r, 32):  # empty at end of file
-                            outcomes = fn(tasks[int(line)])
+                            outcomes = map(fn, tasks[int(line)])
                             raw = [(t, p._asdict() if t == "ok" else p) for t, p in outcomes]
                             out.write(json.dumps(raw).encode() + b"\n")  # JSON escapes line breaks
                             out.flush()
@@ -416,7 +401,7 @@ def _sweep(
     tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
     order = list(chain.from_iterable(tasks))
     if jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
-        yield from zip(order, chain.from_iterable(_fork_map(_sweep_task, tasks, jobs)))
+        yield from zip(order, chain.from_iterable(_fork_map(_sweep_cell, tasks, jobs)))
     else:
         yield from zip(order, map(_sweep_cell, order))
 
@@ -566,16 +551,15 @@ def _run(args: argparse.Namespace) -> int:
             return 1
         ok = summary["mismatch"] == 0 and summary["lower_bound_violations"] == 0
         return 0 if ok else 1
-    if args.command == "cofiber":
-        report = cofiber_report(args.n, args.d, args.m)
-        out.write(json.dumps(report) + "\n")
-        ok = (
-            report["twisted_match"]
-            and report["cofiber_total"] == report["predicted_cofiber"]
-            and report["connecting_rank"] == report["predicted_delta_rank"]
-        )
-        return 0 if ok else 1
-    raise AssertionError(f"unhandled command {args.command}")
+    # argparse requires a command, so this one is "cofiber"
+    report = cofiber_report(args.n, args.d, args.m)
+    out.write(json.dumps(report) + "\n")
+    ok = (
+        report["twisted_match"]
+        and report["cofiber_total"] == report["predicted_cofiber"]
+        and report["connecting_rank"] == report["predicted_delta_rank"]
+    )
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -15,10 +15,10 @@ in its degree, the bit it sets in a column, as a word fixes its degree.
 The monomial of lam is e_(lam') = s_lam plus Schubert classes of smaller
 words (Macdonald I.6), so each degree's basis change is unitriangular and
 the Wu route solves it by forward substitution.
-Per-grid state (both bases, that index, multiplication blocks and the
-conversion cache) is kept for the last grid used only, as every command
-uses its grids one after another; all cached values are deterministic, so
-concurrent use cannot produce divergent results.
+Per-grid state (both bases, their dimensions, that index, multiplication
+blocks and the conversion cache) is kept for the last grid used only, as
+every command uses its grids one after another; all cached values are
+deterministic, so concurrent use cannot produce divergent results.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ class _GridContext:
         self.top_degree, self.slot = grid.top_degree, grid.slot
         self.basis = partitions_in_grid(grid.d, grid.c)
         self.index = {w: i for words in self.basis.values() for i, w in enumerate(words)}
+        self.spaces = {t: len(words) for t, words in self.basis.items()}
         self._pieri: dict[int, list[tuple[int, ...]]] = {}
         self._convert: dict[int, dict[int, int]] = {0: {0: 1}}
 
@@ -161,14 +162,13 @@ def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:
     shift = 2 ** (n + 1) - 1
     d, m = grid.d, grid.m
     ctx = _context(grid)
-    spaces = {t: len(words) for t, words in ctx.basis.items()}
     shl, position = (1).__lshift__, ctx.index.__getitem__
     blocks: dict[int, tuple[int, ...]] = {}
     for t in range(ctx.top_degree - shift + 1):
         blocks[t] = tuple(
             sum(map(shl, map(position, lenart_strips(word, shift, d, m)))) for word in ctx.basis[t]
         )
-    return GradedMap(shift, spaces, blocks)
+    return GradedMap(shift, ctx.spaces, blocks)
 
 
 def free_operator_matrix(
@@ -192,7 +192,6 @@ def free_operator_matrix(
     """
     ctx = _context(grid)
     slot, d = grid.slot, grid.d
-    spaces = {t: len(words) for t, words in ctx.basis.items()}
     # (bit, t0, chain): w^r takes part in the chain iff it holds bit, the
     # low bit of r_j (0 for no generator), and its cofactor is w^r - bit.
     # Peeling w_j last, a cofactor's prefix is the cofactor of a smaller
@@ -225,7 +224,7 @@ def free_operator_matrix(
         for _, t0, chain in chains:
             for k in [k for k in chain if t0 < k <= s - d]:
                 del chain[k]
-    return GradedMap(shift, spaces, blocks)
+    return GradedMap(shift, ctx.spaces, blocks)
 
 
 def derivation_parts(n: int, grid: Grid) -> list[tuple[int | None, set[int]]]:

@@ -37,9 +37,10 @@ from grqn.cli import (
     verify_sweep,
     _parse_range,
 )
-from grqn.cofiber import twisted_complex
+from grqn.cofiber import _ideal_cut, cofiber_homology, twisted_complex
 from grqn.formulas import InvalidCell
 from grqn.homology import GradedMap, HomologyProfile
+from grqn.schubert import Grid
 
 GOLDEN_2X2 = (
     "d,c,value,status,method\n"
@@ -107,6 +108,29 @@ def test_compute_cell_rejects_a_broken_profile(monkeypatch, tmp_path, capsys, m,
     assert summary["mismatch"] == 1
     assert message in capsys.readouterr().err
     assert cache.read_text() == ""
+
+
+def test_a_total_above_its_prediction_is_a_mismatch(monkeypatch, tmp_path, capsys):
+    real = cli.predicted_k
+    monkeypatch.setattr(cli, "predicted_k", lambda n, d, m: real(n, d, m) - ((n, d, m) == (1, 2, 5)))
+    rec = compute_cell(1, 2, 5)
+    assert rec.status == "Mismatch"
+    assert rec.predicted == rec.computed_total - 1
+    cache = tmp_path / "c.jsonl"
+    summary = verify_sweep(range(1, 2), range(2, 3), range(2, 4), cache_path=str(cache))
+    assert (summary["proven"], summary["mismatch"]) == (1, 1)
+    assert [(r["m"], r["status"]) for r in map(json.loads, read_lines(cache))] == [
+        (5, "Mismatch"),
+        (4, "Proven"),
+    ]
+    argv = ["verify", "--n", "1", "--d", "2", "--c", "2..3", "--cache"]
+    assert main([*argv, str(tmp_path / "fresh.jsonl")]) == 1
+    assert json.loads(capsys.readouterr().out)["mismatch"] == 1
+    # resumed, the cached record counts as a mismatch again
+    monkeypatch.setattr(cli, "predicted_k", real)
+    assert main([*argv, str(cache)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["skipped"], summary["proven"], summary["mismatch"]) == (2, 1, 1)
 
 
 def test_verify_jobs_fall_back_to_cpu_count_without_affinity(tmp_path, monkeypatch):
@@ -529,6 +553,36 @@ def test_a_failed_bug_check_on_one_cell_is_a_clean_error(monkeypatch, capsys, co
     assert captured.err.count("\n") == 1
 
 
+def plant_ideal_leak(monkeypatch):
+    """The first ideal column of degree 3 at n=1 on the 3x3 grid gains bit 2.
+
+    The ideal holds the first two of degree 6's classes, so the bit falls
+    outside it, and the map still squares to zero.
+    """
+    real = schubert.lenart_qn_matrix
+
+    def leak(n, grid):
+        gm = real(n, grid)
+        first, *rest = gm.blocks[3]
+        return GradedMap(gm.shift, gm.spaces, {**gm.blocks, 3: (first ^ 0b100, *rest)})
+
+    monkeypatch.setattr(schubert, "lenart_qn_matrix", leak)
+
+
+def test_an_ideal_that_is_not_a_subcomplex_is_a_clean_error(monkeypatch, capsys):
+    assert _ideal_cut(Grid(3, 3))[3] == 1 and _ideal_cut(Grid(3, 3))[6] == 2
+    assert cofiber_homology(1, 3, 6)[1] == 0
+    plant_ideal_leak(monkeypatch)
+    assert schubert.lenart_qn_matrix(1, Grid(3, 3)).compose_is_zero()
+    message = "the ideal is not a subcomplex at degree 3 at n=1 d=3 m=6"
+    with pytest.raises(RuntimeError, match=message):
+        cofiber_homology(1, 3, 6)
+    assert main(["cofiber", "--n", "1", "--d", "3", "--m", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"grqn: cell n=1 d=3 m=6: {message}\n"
+
+
 # Modules no command needs, a pooled sweep included.
 NOT_ON_THE_LAUNCH_PATH = (
     "dataclasses",
@@ -735,7 +789,7 @@ class RecordingForkMap:
     def __call__(self, fn, tasks, jobs):
         self.jobs.append(jobs)
         self.tasks.extend(tasks)
-        return map(fn, tasks)
+        return (list(map(fn, task)) for task in tasks)
 
 
 def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
@@ -826,14 +880,14 @@ def test_parallel_sweep_keeps_every_cell_but_the_one_that_failed(tmp_path, monke
 
 def test_a_dead_worker_is_a_clean_error_and_leaves_no_child(tmp_path, monkeypatch, capsys):
     cache = str(tmp_path / "c.jsonl")
-    real = cli._sweep_task
+    real = cli._sweep_cell
 
-    def die_at_m4(cells):
-        if cells[0][2] == 4:
+    def die_at_m4(cell):
+        if cell[2] == 4:
             os._exit(3)
-        return real(cells)
+        return real(cell)
 
-    monkeypatch.setattr(cli, "_sweep_task", die_at_m4)  # before the workers fork
+    monkeypatch.setattr(cli, "_sweep_cell", die_at_m4)  # before the workers fork
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # so they fork on any host
     argv = ["verify", "--n", "1", "--d", "1", "--c", "1..5", "--jobs", "2", "--cache", cache]
     assert main(argv) == 1

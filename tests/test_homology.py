@@ -87,9 +87,13 @@ def test_qn_homology_zero_map_gives_everything():
             assert qn_homology(gm).total == comb(d + c, d)
 
 
-def test_qn_homology_rejects_non_differential():
+def test_qn_homology_rejects_non_differential(monkeypatch):
     bad = GradedMap(1, {0: 1, 1: 1, 2: 1}, {0: (1,), 1: (1,)})
-    with pytest.raises(NotADifferential):
+    with pytest.raises(NotADifferential, match="composite of consecutive blocks is nonzero"):
+        qn_homology(bad)
+    # With the d^2 check passed over, rank 1 goes in and out of degree 1's one class.
+    monkeypatch.setattr(GradedMap, "compose_is_zero", lambda self: True)
+    with pytest.raises(NotADifferential, match="negative homology dimension at degree 1"):
         qn_homology(bad)
 
 
