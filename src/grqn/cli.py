@@ -26,9 +26,9 @@ from math import comb
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .cofiber import GridTooSmall, cofiber_homology, twisted_complex
+from .cofiber import cofiber_homology, twisted_complex
 from .formulas import InvalidCell, check_cell, predicted_cofiber_k, predicted_delta_rank, predicted_k
-from .homology import HomologyProfile, NotADifferential, qn_homology
+from .homology import HomologyProfile, qn_homology
 from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
 
 CELL_LIMIT_ENV = "GRQN_CELL_LIMIT"
@@ -49,15 +49,7 @@ SUMMARY = {STATUS_PROVEN: "proven", STATUS_CONJECTURE: "conjecture_match", STATU
 
 
 class UsageError(ValueError):
-    """A command-line argument or setting the commands cannot act on."""
-
-
-class CellTooLarge(RuntimeError):
-    """The cell's basis exceeds the configured size cutoff."""
-
-
-class CacheCorrupt(RuntimeError):
-    """The result cache holds a line that does not parse."""
+    """An argument, setting, cell size or cache line the commands cannot act on."""
 
 
 class LowerBoundViolation(RuntimeError):
@@ -119,7 +111,7 @@ def default_method(d: int, m: int) -> str:
 def _check_size(d: int, m: int) -> None:
     size, cap = comb(m, d), cell_limit()
     if size > cap:
-        raise CellTooLarge(f"basis size {size} exceeds limit {cap}")
+        raise UsageError(f"basis size {size} exceeds limit {cap}")
 
 
 def _check_invariants(n: int, d: int, m: int, profile: HomologyProfile) -> None:
@@ -217,11 +209,10 @@ def table_csv(rows: list[dict]) -> str:
 
 
 def cofiber_report(n: int, d: int, m: int) -> dict:
-    """Reduced cofiber homology, connecting rank, predictions, twist check."""
+    """Reduced cofiber homology, connecting rank, predictions, bit-for-bit twist check."""
     check_cell(n, d, m, least_d=1)
     _check_size(d, m)
-    sub_profile, delta = cofiber_homology(n, d, m)
-    twisted = qn_homology(twisted_complex(n, d, m))
+    sub_profile, delta, sub = cofiber_homology(n, d, m)
     return {
         "n": n,
         "d": d,
@@ -231,7 +222,7 @@ def cofiber_report(n: int, d: int, m: int) -> dict:
         "predicted_cofiber": predicted_cofiber_k(n, d, m),
         "connecting_rank": delta,
         "predicted_delta_rank": predicted_delta_rank(n, d, m),
-        "twisted_match": twisted.shifted(m - d) == sub_profile,
+        "twisted_match": twisted_complex(n, d, m).shifted(m - d) == sub,
     }
 
 
@@ -239,7 +230,7 @@ def load_cache(handle: BufferedIOBase) -> dict[tuple[int, int, int, str], Result
     """Records by key, from the start of a binary file.
 
     An unreadable last line with no line break is a write that was cut off
-    and is skipped; any other unreadable line raises ``CacheCorrupt``.  The
+    and is skipped; any other unreadable line raises ``UsageError``.  The
     file is left at the end of its last readable record, before that
     record's line break: where a writer resuming the cache cuts it off.
     """
@@ -253,7 +244,7 @@ def load_cache(handle: BufferedIOBase) -> dict[tuple[int, int, int, str], Result
             except (ValueError, KeyError, TypeError) as exc:
                 if not raw.endswith((b"\n", b"\r")):  # only the last line can end so
                     break
-                raise CacheCorrupt(f"cache line {lineno} is unreadable: {exc}") from exc
+                raise UsageError(f"cache line {lineno} is unreadable: {exc}") from exc
             records[(rec.n, rec.d, rec.m, rec.method)] = rec
             end = start + len(raw.rstrip())
         start += len(raw)
@@ -508,13 +499,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (UsageError, InvalidCell, GridTooSmall, CellTooLarge, CacheCorrupt) as exc:
+    except (UsageError, InvalidCell) as exc:
         print(f"grqn: error: {exc}", file=sys.stderr)
         return 2
     except (TableFailed, WorkerDied) as exc:
         print(f"grqn: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, NotADifferential) as exc:
+    except RuntimeError as exc:
         if args.command not in ("compute", "cofiber"):
             raise
         # a bug check failed on the command's one cell, as in a failing table cell

@@ -11,16 +11,9 @@ objects, so a wrapper installed on a module attribute sees every call.
 from __future__ import annotations
 
 from . import homology, schubert, steenrod
+from .formulas import InvalidCell
 from .homology import GradedMap, HomologyProfile
 from .schubert import Grid
-
-
-class GridTooSmall(ValueError):
-    """Raised when a cofiber construction needs codimension at least 1."""
-
-
-class ParityViolation(RuntimeError):
-    """Exactness bookkeeping produced an odd defect; indicates a bug."""
 
 
 def _ideal_cut(grid: Grid) -> dict[int, int]:
@@ -32,7 +25,7 @@ def _ideal_cut(grid: Grid) -> dict[int, int]:
 def _full_complex(n: int, grid: Grid) -> GradedMap:
     """The Grassmannian complex of a cofiber cell, which needs codimension >= 1."""
     if grid.c < 1:
-        raise GridTooSmall(f"cofiber needs codimension >= 1, got {grid}")
+        raise InvalidCell(f"cofiber needs codimension >= 1, got {grid}")
     return schubert.lenart_qn_matrix(n, grid)
 
 
@@ -44,7 +37,7 @@ def twisted_complex(n: int, d: int, m: int) -> GradedMap:
     canonical (d-1)-plane bundle.
     """
     if d < 1 or m < d + 1:
-        raise GridTooSmall(f"twisted complex needs d >= 1 and m > d, got d={d} m={m}")
+        raise InvalidCell(f"twisted complex needs d >= 1 and m > d, got d={d} m={m}")
     shift = 2 ** (n + 1) - 1
     grid = Grid(d - 1, m - d)
     parts = schubert.derivation_parts(n, grid)
@@ -55,8 +48,8 @@ def twisted_complex(n: int, d: int, m: int) -> GradedMap:
     return schubert.free_operator_matrix(grid, shift, parts)
 
 
-def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:
-    """Reduced cofiber homology and the rank of the connecting map.
+def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int, GradedMap]:
+    """Reduced cofiber homology, the rank of the connecting map, and the ideal's complex.
 
     Builds the whole complex once and restricts it to the ideal and the
     quotient, once no ideal column leaves the ideal: ``restrict`` would drop
@@ -73,5 +66,5 @@ def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int]:
     quot_total = homology.qn_homology(quot).total
     excess = sub_profile.total + quot_total - homology.qn_homology(full).total
     if excess < 0 or excess % 2:
-        raise ParityViolation(f"exactness defect {excess} at n={n} d={d} m={m}")
-    return sub_profile, excess // 2
+        raise RuntimeError(f"exactness defect {excess} at n={n} d={d} m={m}")
+    return sub_profile, excess // 2, sub

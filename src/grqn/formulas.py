@@ -70,7 +70,7 @@ def _collapse_or_sum(
         return collapsed
     total = binomial_sum(n, d, m)
     if m <= collapse and total != collapsed:
-        raise AssertionError(f"branch disagreement at n={n} d={d} m={m}")
+        raise RuntimeError(f"branch disagreement at n={n} d={d} m={m}")
     return total
 
 

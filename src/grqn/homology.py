@@ -14,7 +14,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 
-class NotADifferential(ValueError):
+class NotADifferential(RuntimeError):
     """Raised when a map fed to homology fails M o M = 0."""
 
 
@@ -90,6 +90,11 @@ class GradedMap:
                 return False
         return True
 
+    def shifted(self, k: int) -> "GradedMap":
+        """The same map with every degree raised by ``k``."""
+        blocks = {t + k: cols for t, cols in self.blocks.items()}
+        return GradedMap(self.shift, {t + k: n for t, n in self.spaces.items()}, blocks)
+
     def restrict(self, cut: dict[int, int]) -> tuple["GradedMap", "GradedMap"]:
         """Induced maps on the first ``cut[t]`` basis vectors of each degree t, and on the rest.
 
@@ -115,9 +120,6 @@ class HomologyProfile(namedtuple("HomologyProfile", "per_degree total")):
 
     def dim(self, t: int) -> int:
         return self.per_degree.get(t, 0)
-
-    def shifted(self, k: int) -> "HomologyProfile":
-        return HomologyProfile({t + k: v for t, v in self.per_degree.items()}, self.total)
 
 
 def qn_homology(gm: GradedMap) -> HomologyProfile:

@@ -18,10 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grqn
-from grqn import cli, homology, schubert
+from grqn import cli, formulas, homology, schubert
 from grqn.cli import (
-    CacheCorrupt,
-    CellTooLarge,
     InvariantViolation,
     LowerBoundViolation,
     ResultRecord,
@@ -39,7 +37,7 @@ from grqn.cli import (
 )
 from grqn.cofiber import _ideal_cut, cofiber_homology, twisted_complex
 from grqn.formulas import InvalidCell
-from grqn.homology import GradedMap, HomologyProfile
+from grqn.homology import GradedMap, HomologyProfile, qn_homology
 from grqn.schubert import Grid
 
 GOLDEN_2X2 = (
@@ -79,7 +77,7 @@ def test_compute_cell_validates_input():
 
 def test_compute_cell_respects_limit(monkeypatch):
     monkeypatch.setenv("GRQN_CELL_LIMIT", "5")
-    with pytest.raises(CellTooLarge):
+    with pytest.raises(UsageError, match="basis size 10 exceeds limit 5"):
         compute_cell(1, 2, 5)
 
 
@@ -143,7 +141,7 @@ def test_verify_jobs_fall_back_to_cpu_count_without_affinity(tmp_path, monkeypat
 
 def test_cell_limit_env_override(monkeypatch):
     monkeypatch.setenv("GRQN_CELL_LIMIT", "5")
-    with pytest.raises(CellTooLarge):
+    with pytest.raises(UsageError, match="basis size 10 exceeds limit 5"):
         compute_cell(1, 2, 5)
     rows = table_rows(1, 2, 3)
     flagged = [r for r in rows if r["status"] == "predicted-only"]
@@ -369,7 +367,7 @@ def test_cache_corruption_reports_line(tmp_path):
     with open(cache, "w") as fh:
         fh.write(rec.to_json() + "\n")
         fh.write("{not json\n")
-    with pytest.raises(CacheCorrupt, match="line 2"):
+    with pytest.raises(UsageError, match="cache line 2 is unreadable"):
         load_cache_at(cache)
 
 
@@ -506,6 +504,80 @@ def test_main_cofiber_exits_1_when_a_check_fails(monkeypatch, capsys, name, wron
             "predicted_delta_rank": "predicted_delta_rank",
         }[name]
     ]
+
+
+def swap_two_classes(gm):
+    """``gm`` in another basis, in which two classes of one degree trade places.
+
+    They are the first two of the lowest degree where the swap changes a
+    bit.  They trade places as columns of that degree's block and as rows
+    of the block below it, so the map still squares to zero.
+    """
+    for t, dim in gm.spaces.items():
+        if dim < 2:
+            continue
+        blocks = dict(gm.blocks)
+        if t in blocks:
+            first, second, *rest = blocks[t]
+            blocks[t] = (second, first, *rest)
+        if t - gm.shift in blocks:
+            below = blocks[t - gm.shift]  # rows 0 and 1 swap: flip both bits where they differ
+            blocks[t - gm.shift] = tuple(v ^ ((v ^ v >> 1) & 1) * 0b11 for v in below)
+        swapped = GradedMap(gm.shift, gm.spaces, blocks)
+        if swapped != gm:
+            return swapped
+    raise AssertionError("no swap of two classes changes the map")
+
+
+def test_a_twist_in_another_basis_fails_the_bit_for_bit_check(monkeypatch, capsys):
+    argv = ["cofiber", "--n", "1", "--d", "3", "--m", "7"]
+    assert main(argv) == 0
+    good = json.loads(capsys.readouterr().out)
+    real = twisted_complex(1, 3, 7)
+    other = swap_two_classes(real)
+    assert other.compose_is_zero()
+    assert qn_homology(other) == qn_homology(real)
+    monkeypatch.setattr(cli, "twisted_complex", lambda n, d, m: other)
+    assert cofiber_report(1, 3, 7)["twisted_match"] is False
+    assert main(argv) == 1
+    bad = json.loads(capsys.readouterr().out)
+    assert bad == {**good, "twisted_match": False}
+
+
+@pytest.mark.parametrize(
+    "command, closed_form",
+    [("compute", "_grassmannian_sum"), ("cofiber", "_cofiber_sum")],
+)
+def test_a_formula_branch_disagreement_is_a_clean_error(monkeypatch, capsys, command, closed_form):
+    argv = [command, "--n", "1", "--d", "2", "--m", "4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    real = getattr(formulas, closed_form)
+    monkeypatch.setattr(formulas, closed_form, lambda n, d, m: real(n, d, m) + 1)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "grqn: cell n=1 d=2 m=4: branch disagreement at n=1 d=2 m=4\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "1", "--d", "1", "--c", "1"],
+        ["table", "--n", "1", "--dmax", "1", "--cmax", "1"],
+    ],
+    ids=itemgetter(0),
+)
+def test_a_bug_outside_any_cell_is_raised(tmp_path, monkeypatch, argv):
+    def broken_driver(*args, **kwargs):
+        raise RuntimeError("driver bug")
+
+    monkeypatch.setattr(cli, "_sweep", broken_driver)
+    if argv[0] == "verify":
+        argv = [*argv, "--cache", str(tmp_path / "c.jsonl")]
+    with pytest.raises(RuntimeError, match="driver bug"):
+        main(argv)
 
 
 def plant_totals_one_high(monkeypatch):
@@ -1130,5 +1202,5 @@ def test_unreadable_line_before_the_end_still_fails(tmp_path):
     lines = read_lines(cache)
     with open(cache, "w") as fh:
         fh.write("\n".join([lines[0], lines[1][:25], lines[2]]))
-    with pytest.raises(CacheCorrupt, match="line 2"):
+    with pytest.raises(UsageError, match="cache line 2 is unreadable"):
         verify_sweep(range(1, 2), range(1, 2), range(1, 4), cache_path=cache)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grqn import homology
-from grqn.cofiber import GridTooSmall, ParityViolation, _ideal_cut, cofiber_homology, twisted_complex
+from grqn.cofiber import _ideal_cut, cofiber_homology, twisted_complex
+from grqn.formulas import InvalidCell
 from grqn.homology import (
     GradedMap,
     HomologyProfile,
@@ -101,7 +102,6 @@ def test_homology_profile_accessors():
     prof = HomologyProfile({0: 1, 3: 2}, 3)
     assert prof.dim(3) == 2
     assert prof.dim(5) == 0
-    assert prof.shifted(2) == HomologyProfile({2: 1, 5: 2}, 3)
 
 
 def test_per_degree_bounded_by_space():
@@ -134,7 +134,7 @@ def test_ideal_subcomplex_quotient_is_smaller_grassmannian():
 
 
 def test_ideal_subcomplex_requires_positive_codimension():
-    with pytest.raises(GridTooSmall):
+    with pytest.raises(InvalidCell, match="cofiber needs codimension >= 1"):
         ideal_subcomplex(1, Grid(3, 0))
 
 
@@ -161,16 +161,24 @@ def test_twisted_complex_point_case():
 
 
 def test_twisted_complex_matches_ideal_subcomplex():
-    for n, d, m in ((1, 2, 7), (1, 3, 8), (0, 2, 5), (2, 2, 9), (1, 4, 7), (0, 3, 6)):
-        sub, _ = ideal_subcomplex(n, Grid(d, m - d))
-        sub_prof = qn_homology(sub)
-        tw_prof = qn_homology(twisted_complex(n, d, m))
-        assert tw_prof.shifted(m - d) == sub_prof
+    # Raised by the codimension, the twist is the ideal subcomplex bit for bit.
+    for n in range(4):
+        for d in range(1, 8):
+            for c in range(1, 8):
+                sub, _ = ideal_subcomplex(n, Grid(d, c))
+                assert twisted_complex(n, d, d + c).shifted(c) == sub, (n, d, c)
     assert qn_homology(twisted_complex(1, 2, 7)).total == 2
 
 
+def test_cofiber_homology_returns_the_ideal_subcomplex():
+    for n, d, m in ((1, 2, 7), (0, 3, 6), (2, 2, 9)):
+        profile, _, sub = cofiber_homology(n, d, m)
+        assert sub == ideal_subcomplex(n, Grid(d, m - d))[0]
+        assert qn_homology(sub) == profile
+
+
 def test_twisted_complex_rejects_bad_sizes():
-    with pytest.raises(GridTooSmall):
+    with pytest.raises(InvalidCell, match="twisted complex needs d >= 1 and m > d"):
         twisted_complex(1, 3, 3)
 
 
@@ -178,7 +186,7 @@ def test_connecting_rank_examples():
     assert cofiber_homology(1, 2, 7)[1] == 2
     assert cofiber_homology(1, 3, 8)[1] == 0  # even m
     assert cofiber_homology(2, 3, 7)[1] == 0  # collapse range
-    with pytest.raises(GridTooSmall):
+    with pytest.raises(InvalidCell):
         cofiber_homology(1, 2, 2)
 
 
@@ -191,7 +199,7 @@ def test_an_odd_exactness_defect_is_a_parity_violation(monkeypatch):
 
     # one more class in each of the ideal, the quotient and the whole: defect 2 * 2 + 1
     monkeypatch.setattr(homology, "qn_homology", one_more)
-    with pytest.raises(ParityViolation, match="exactness defect 5 at n=1 d=2 m=5"):
+    with pytest.raises(RuntimeError, match="exactness defect 5 at n=1 d=2 m=5"):
         cofiber_homology(1, 2, 5)
 
 
@@ -235,6 +243,15 @@ def test_graded_map_normalization_and_equality():
     c = GradedMap(1, dict(spaces), {})
     assert c.block(0) == (0,)
     assert c.is_zero()
+    assert GradedMap(1) != 5  # a map is never equal to a non-map
+
+
+def test_graded_map_shifted_raises_every_degree():
+    gm = GradedMap(1, {0: 1, 1: 2, 2: 1}, {0: (0b11,), 1: (1, 1)})
+    up = gm.shifted(3)
+    assert up == GradedMap(1, {3: 1, 4: 2, 5: 1}, {3: (0b11,), 4: (1, 1)})
+    assert up.shifted(-3) == gm
+    assert qn_homology(up).per_degree == {t + 3: h for t, h in qn_homology(gm).per_degree.items()}
 
 
 def test_graded_map_restrict_quotient_drops_rows():

@@ -1,6 +1,7 @@
 """Module layering of the package: its own imports form no cycle and load eagerly."""
 
 import ast
+import importlib
 import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -265,3 +266,43 @@ def test_only_the_sweep_and_the_compute_command_run_a_cell():
     while not isinstance(up, ast.If):
         up = up.parent
     assert ast.unparse(up.test) == "args.command == 'compute'"
+
+
+def main_clauses():
+    """Each except clause of ``cli.main``: the names it catches and the codes it returns."""
+    tree = parsed(MODULES["cli"])
+    main = next(node for node in tree.body if getattr(node, "name", None) == "main")
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            codes = {
+                ret.value.value
+                for ret in ast.walk(node)
+                if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Constant)
+            }
+            yield {ast.unparse(c) for c in caught}, codes
+
+
+def exception_classes():
+    """Each exception class the package defines, by name."""
+    for name, path in MODULES.items():
+        module = importlib.import_module("grqn" if name == "__init__" else f"grqn.{name}")
+        for node in parsed(path).body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(module, node.name)
+                if issubclass(cls, BaseException):
+                    yield node.name, cls
+
+
+def test_two_error_families():
+    # Bad input is a ValueError that main reports with exit 2; every other
+    # error the package raises is a failed bug check, a RuntimeError.
+    clauses = list(main_clauses())
+    bad_input = [names for names, codes in clauses if codes == {2}]
+    assert len(bad_input) == 1, clauses
+    classes = dict(exception_classes())
+    assert {"UsageError", "WorkerDied"} <= set(classes)  # the scan finds them
+    for name, cls in classes.items():
+        assert issubclass(cls, ValueError) == (name in bad_input[0]), name
+        assert issubclass(cls, ValueError) or issubclass(cls, RuntimeError), name
+    assert clauses[-1][0] == {"RuntimeError"}  # the bug-check clause

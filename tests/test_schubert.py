@@ -359,6 +359,12 @@ def test_grid_rejects_a_negative_side(d, c):
         Grid(d, c)
 
 
+@pytest.mark.parametrize("build", [lenart_qn_matrix, derivation_qn_matrix])
+def test_matrix_constructions_reject_a_negative_primitive_index(build):
+    with pytest.raises(ValueError, match="primitive index must be nonnegative, got -1"):
+        build(-1, Grid(2, 2))
+
+
 def test_equal_grids_are_one_context_key():
     a, b = Grid(2, 3), Grid(2, 3)
     assert a is not b

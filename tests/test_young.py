@@ -104,6 +104,12 @@ def test_partitions_in_grid_degenerate_and_counts():
                     assert word(partition(w, d), d) == w
 
 
+@pytest.mark.parametrize("d, c", [(-1, 2), (2, -1)])
+def test_partitions_in_grid_rejects_a_negative_side(d, c):
+    with pytest.raises(ValueError, match=f"grid sides must be nonnegative: {d}x{c}"):
+        partitions_in_grid(d, c)
+
+
 def test_conjugation_reverses_and_complements_the_word():
     # lam -> lam' takes the d x c grid to the c x d grid.
     for d in range(7):
