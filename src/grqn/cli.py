@@ -6,8 +6,9 @@ for both routes as one task so that its context is built once, and runs the
 tasks longest first, serially or in forked workers that send their records
 back as JSON; a cell over the size cutoff never becomes a task.  ``verify``
 appends each finished record to a JSON-lines cache in that dispatch order;
-``table`` sorts its rows.  Outputs use a fixed field order to stay
-byte-reproducible.
+``table`` sorts its rows.  ``cofiber`` builds its twist in a worker of the
+same fork map while it builds the ideal.  Outputs use a fixed field order
+to stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ import sys
 import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager, nullcontext
 from io import BufferedIOBase
 from itertools import chain, groupby
 from math import comb
 from operator import itemgetter
 from types import SimpleNamespace
 
-from .cofiber import cofiber_homology, twisted_complex
+from .cofiber import check_codimension, cofiber_homology, twisted_complex
 from .formulas import InvalidCell, check_cell, predicted_cofiber_k, predicted_delta_rank, predicted_k
-from .homology import HomologyProfile, qn_homology
+from .homology import GradedMap, HomologyProfile, qn_homology
 from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
 
 CELL_LIMIT_ENV = "GRQN_CELL_LIMIT"
@@ -209,10 +211,26 @@ def table_csv(rows: list[dict]) -> str:
 
 
 def cofiber_report(n: int, d: int, m: int) -> dict:
-    """Reduced cofiber homology, connecting rank, predictions, bit-for-bit twist check."""
+    """Reduced cofiber homology, connecting rank, predictions, bit-for-bit twist check.
+
+    The twist shares nothing with the ideal's complex.  With two usable CPUs
+    a forked worker builds it while this process builds the ideal, whose
+    failed checks are raised first either way.
+    """
     check_cell(n, d, m, least_d=1)
     _check_size(d, m)
-    sub_profile, delta, sub = cofiber_homology(n, d, m)
+    check_codimension(Grid(d, m - d))
+    tasks = [[(n, d, m)]]
+    if _usable_cpus() >= 2 and hasattr(os, "fork"):
+        twist = _fork_map(_twist_json, tasks, 1, "twist")
+    else:
+        twist = nullcontext(list(map(_twist_json, task)) for task in tasks)
+    with twist as results:
+        sub_profile, delta, sub = cofiber_homology(n, d, m)
+        [(tag, payload)] = next(results)
+    if tag == "failed":
+        raise RuntimeError(payload)
+    shift, spaces, blocks = payload
     return {
         "n": n,
         "d": d,
@@ -222,8 +240,18 @@ def cofiber_report(n: int, d: int, m: int) -> dict:
         "predicted_cofiber": predicted_cofiber_k(n, d, m),
         "connecting_rank": delta,
         "predicted_delta_rank": predicted_delta_rank(n, d, m),
-        "twisted_match": twisted_complex(n, d, m).shifted(m - d) == sub,
+        "twisted_match": GradedMap(shift, dict(spaces), dict(blocks)) == sub,
     }
+
+
+def _twist_json(cell: tuple[int, int, int]) -> tuple[str, list | str]:
+    """The cell's twist raised to the ideal's degrees as JSON data, or a failed check's message."""
+    n, d, m = cell
+    try:
+        gm = twisted_complex(n, d, m).shifted(m - d)
+    except RuntimeError as exc:
+        return "failed", str(exc)
+    return "ok", [gm.shift, [*gm.spaces.items()], [*gm.blocks.items()]]
 
 
 def load_cache(handle: BufferedIOBase) -> dict[tuple[int, int, int, str], ResultRecord]:
@@ -273,19 +301,28 @@ def _sweep_cell(cell: tuple[int, int, int]) -> Outcome:
         return tag, f"cell n={n} d={d} m={m}: {exc}"
 
 
-def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outcome]]:
-    """``map(fn, task)`` for each task, in at most ``jobs`` forked workers.
+def _sweep_json(cell: tuple[int, int, int]) -> tuple[str, dict | str]:
+    """The cell's outcome with its record as a dict, for a worker to send as JSON."""
+    tag, payload = _sweep_cell(cell)
+    return tag, payload._asdict() if tag == "ok" else payload
+
+
+@contextmanager
+def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator[Iterator[list]]:
+    """``map(fn, task)`` for each task, in at most ``jobs`` workers forked on entry.
 
     A worker reads task indices from its task pipe and sends each task's
-    outcomes down its result pipe as one line of JSON.  Tasks go out in
-    order, each to whichever worker is free, and a task's outcomes are
-    yielded once it and every task before it are back.  A worker that dies
-    raises ``WorkerDied``.  However the map ends, every worker still holding
-    a task is killed, and every worker is reaped.
+    results down its result pipe as one line of JSON, so ``fn`` returns
+    JSON data.  Tasks go out in order, each to whichever worker is free, and
+    the map yields an iterator that gives a task's decoded results once it
+    and every task before it are back; the caller works meanwhile.  A worker
+    that dies raises ``WorkerDied``, naming ``role`` and the first cell of
+    its task.  On exit every worker still holding a task is killed, and
+    every worker is reaped.
     """
     pending = iter(range(len(tasks)))
     workers: dict[int, SimpleNamespace] = {}  # by the parent's end of the result pipe
-    done: dict[int, list[Outcome]] = {}
+    done: dict[int, list] = {}
     poller = select.poll()
 
     def hand_out(worker: SimpleNamespace) -> None:
@@ -307,6 +344,24 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outco
             os.kill(worker.pid, 9)
         return os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
 
+    def results() -> Iterator[list]:
+        for index in range(len(tasks)):
+            while index not in done:
+                for fd, _ in poller.poll():
+                    worker = workers[fd]
+                    line = worker.reader.readline()
+                    if not line.endswith(b"\n"):  # the worker died
+                        n, d, m = tasks[worker.task][0]
+                        status = reap(workers.pop(fd))
+                        raise WorkerDied(
+                            f"{role} worker died with exit status {status} on cell n={n} d={d} m={m}"
+                        )
+                    done[worker.task] = json.loads(line)
+                    hand_out(worker)
+                    if worker.task is None:
+                        poller.unregister(fd)
+            yield done.pop(index)
+
     try:
         for _ in range(min(jobs, len(tasks))):
             (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
@@ -317,10 +372,8 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outco
                         os.close(fd)
                     with open(result_w, "wb") as out:
                         while line := os.read(task_r, 32):  # empty at end of file
-                            outcomes = map(fn, tasks[int(line)])
-                            raw = [(t, p._asdict() if t == "ok" else p) for t, p in outcomes]
-                            out.write(json.dumps(raw).encode() + b"\n")  # JSON escapes line breaks
-                            out.flush()
+                            out.write(json.dumps(list(map(fn, tasks[int(line)]))).encode() + b"\n")
+                            out.flush()  # JSON escapes line breaks
                     os._exit(0)
                 finally:  # reached only on an exception
                     os._exit(1)
@@ -330,24 +383,7 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int) -> Iterator[list[Outco
             workers[result_r] = worker
             poller.register(result_r, select.POLLIN)
             hand_out(worker)
-        for index in range(len(tasks)):
-            while index not in done:
-                for fd, _ in poller.poll():
-                    worker = workers[fd]
-                    line = worker.reader.readline()
-                    if not line.endswith(b"\n"):  # the worker died
-                        n, d, m = tasks[worker.task][0]
-                        status = reap(workers.pop(fd))
-                        raise WorkerDied(
-                            f"sweep worker died with exit status {status} on cell n={n} d={d} m={m}"
-                        )
-                    done[worker.task] = [
-                        (t, ResultRecord.from_dict(p) if t == "ok" else p) for t, p in json.loads(line)
-                    ]
-                    hand_out(worker)
-                    if worker.task is None:
-                        poller.unregister(fd)
-            yield done.pop(index)
+        yield results()
     finally:
         for worker in workers.values():
             reap(worker)
@@ -392,7 +428,9 @@ def _sweep(
     tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
     order = list(chain.from_iterable(tasks))
     if jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
-        yield from zip(order, chain.from_iterable(_fork_map(_sweep_cell, tasks, jobs)))
+        with _fork_map(_sweep_json, tasks, jobs, "sweep") as results:
+            for cell, (tag, payload) in zip(order, chain.from_iterable(results)):
+                yield cell, (tag, ResultRecord.from_dict(payload) if tag == "ok" else payload)
     else:
         yield from zip(order, map(_sweep_cell, order))
 

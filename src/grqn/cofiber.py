@@ -22,11 +22,10 @@ def _ideal_cut(grid: Grid) -> dict[int, int]:
     return {t: sum(w >> top for w in words) for t, words in schubert.schubert_basis(grid).items()}
 
 
-def _full_complex(n: int, grid: Grid) -> GradedMap:
-    """The Grassmannian complex of a cofiber cell, which needs codimension >= 1."""
+def check_codimension(grid: Grid) -> None:
+    """A cofiber cell needs codimension >= 1."""
     if grid.c < 1:
         raise InvalidCell(f"cofiber needs codimension >= 1, got {grid}")
-    return schubert.lenart_qn_matrix(n, grid)
 
 
 def twisted_complex(n: int, d: int, m: int) -> GradedMap:
@@ -57,7 +56,8 @@ def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int, Grad
     twice the rank is the homology excess of the two pieces over the whole.
     """
     grid = Grid(d, m - d)
-    full, cut = _full_complex(n, grid), _ideal_cut(grid)
+    check_codimension(grid)
+    full, cut = schubert.lenart_qn_matrix(n, grid), _ideal_cut(grid)
     for t, cols in full.blocks.items():
         if any(col >> cut[t + full.shift] for col in cols[: cut[t]]):
             raise RuntimeError(f"the ideal is not a subcomplex at degree {t} at n={n} d={d} m={m}")

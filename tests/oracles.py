@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from grqn import steenrod
-from grqn.cofiber import _full_complex, _ideal_cut
+from grqn import schubert, steenrod
+from grqn.cofiber import _ideal_cut, check_codimension
 from grqn.formulas import InvalidCell, _binomial_sum, _cofiber_sum, _comb, _grassmannian_sum
 from grqn.homology import GradedMap, _echelon, column_product
 from grqn.schubert import Grid, _context
@@ -600,7 +600,8 @@ def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
     complementary span carries the complex of the one-step-smaller
     Grassmannian.
     """
-    return _full_complex(n, grid).restrict(_ideal_cut(grid))
+    check_codimension(grid)
+    return schubert.lenart_qn_matrix(n, grid).restrict(_ideal_cut(grid))
 
 
 def _in_span(v: int, pivots: dict[int, int]) -> bool:
@@ -619,7 +620,7 @@ def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:
     subcomplex must be a coboundary of the full complex.
     """
     grid = Grid(d, m - d)
-    full = _full_complex(n, grid)
+    full = schubert.lenart_qn_matrix(n, grid)
     sub, _ = full.restrict(_ideal_cut(grid))
     for t, dim in sub.spaces.items():
         block = sub.blocks.get(t)

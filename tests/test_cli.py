@@ -1,5 +1,6 @@
 """Record shapes, CSV/JSON determinism, cache behavior, and exit codes."""
 
+import contextlib
 import json
 import math
 import os
@@ -655,6 +656,92 @@ def test_an_ideal_that_is_not_a_subcomplex_is_a_clean_error(monkeypatch, capsys)
     assert captured.err == f"grqn: cell n=1 d=3 m=6: {message}\n"
 
 
+def forked_and_serial(monkeypatch, capsys, argv):
+    """``main(argv)``'s exit code, stdout and stderr with two usable CPUs, then with one.
+
+    With two it must fork one twist worker and reap it, with one fork none.
+    """
+    fork, forks, runs = os.fork, [], []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for cpus in (2, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        code = main(argv)
+        runs.append((code, *capsys.readouterr()))
+        assert len(forks) == 1, cpus
+        with pytest.raises(ChildProcessError):  # the twist worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+    return runs
+
+
+COFIBER_CELLS = [(1, 7, 14), (2, 6, 13), (1, 6, 13), (1, 2, 4), (1, 2, 5), (10, 2, 5), (3, 3, 17)]
+
+
+@pytest.mark.parametrize("cell", COFIBER_CELLS, ids=str)
+def test_a_forked_twist_gives_the_serial_bytes(monkeypatch, capsys, cell):
+    argv = ["cofiber", *(f"--{k}={v}" for k, v in zip("ndm", cell))]
+    forked, serial = forked_and_serial(monkeypatch, capsys, argv)
+    assert forked == serial
+    assert forked[0] == 0 and forked[2] == ""
+    assert json.loads(forked[1])["twisted_match"] is True
+
+
+def raise_in_the_twist(n, d, m):
+    raise RuntimeError(f"planted twist failure at n={n} d={d} m={m}")
+
+
+@pytest.mark.parametrize(
+    "twist, out, err",
+    [
+        (lambda n, d, m: swap_two_classes(twisted_complex(n, d, m)), '"twisted_match": false', ""),
+        (raise_in_the_twist, "", "grqn: cell n=1 d=3 m=7: planted twist failure at n=1 d=3 m=7\n"),
+    ],
+    ids=["another basis", "failed check"],
+)
+def test_a_forked_twist_fails_as_the_serial_one_does(monkeypatch, capsys, twist, out, err):
+    monkeypatch.setattr(cli, "twisted_complex", twist)  # before the worker forks
+    forked, serial = forked_and_serial(monkeypatch, capsys, ["cofiber", "--n=1", "--d=3", "--m=7"])
+    assert forked == serial
+    assert forked[0] == 1
+    assert out in forked[1] and (out or forked[1] == "")
+    assert forked[2] == err
+
+
+def test_a_dead_twist_worker_is_a_clean_error_and_leaves_no_child(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "twisted_complex", lambda n, d, m: os._exit(3))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["cofiber", "--n", "1", "--d", "3", "--m", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "grqn: twist worker died with exit status 3 on cell n=1 d=3 m=7\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def plant_not_a_differential(monkeypatch):
+    """Every map the ideal side takes homology of fails the d^2 = 0 check."""
+    monkeypatch.setattr(GradedMap, "compose_is_zero", lambda gm: False)
+
+
+@pytest.mark.parametrize(
+    "plant, cell, message",
+    [
+        (plant_totals_one_high, (1, 2, 5), "exactness defect 5 at n=1 d=2 m=5"),
+        (plant_ideal_leak, (1, 3, 6), "the ideal is not a subcomplex at degree 3 at n=1 d=3 m=6"),
+        (plant_not_a_differential, (1, 2, 5), "composite of consecutive blocks is nonzero"),
+    ],
+    ids=["exactness", "subcomplex", "d squared"],
+)
+def test_a_failed_check_on_the_ideal_side_kills_the_twist_worker(monkeypatch, capsys, plant, cell, message):
+    # The ideal side fails while the worker may still build the twist: it is
+    # killed and reaped before the error reaches main, and its error wins.
+    plant(monkeypatch)
+    argv = ["cofiber", *(f"--{k}={v}" for k, v in zip("ndm", cell))]
+    forked, serial = forked_and_serial(monkeypatch, capsys, argv)
+    assert forked == serial
+    n, d, m = cell
+    assert forked == (1, "", f"grqn: cell n={n} d={d} m={m}: {message}\n")
+
+
 # Modules no command needs, a pooled sweep included.
 NOT_ON_THE_LAUNCH_PATH = (
     "dataclasses",
@@ -851,17 +938,20 @@ def test_main_table_empty_range_is_an_error(capsys, bounds):
 
 
 class RecordingForkMap:
-    """Stands in for the forked workers: records their count and the tasks, maps in process."""
+    """Stands in for the forked workers: records their count and the tasks, maps in process.
+
+    Each task's results go through JSON, as they do from a worker.
+    """
 
     def __init__(self, monkeypatch):
         self.jobs = []
         self.tasks = []
         monkeypatch.setattr(cli, "_fork_map", self)
 
-    def __call__(self, fn, tasks, jobs):
+    def __call__(self, fn, tasks, jobs, role):
         self.jobs.append(jobs)
         self.tasks.extend(tasks)
-        return (list(map(fn, task)) for task in tasks)
+        return contextlib.nullcontext(json.loads(json.dumps([*map(fn, task)])) for task in tasks)
 
 
 def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
@@ -1182,6 +1272,52 @@ def test_no_worker_outlives_a_killed_pooled_sweep(tmp_path, capsys):
     assert main(["verify", *KILLED_RANGE, "--cache", str(whole)]) == 0
     assert records_by_key(cache) == records_by_key(whole)
     assert len(read_lines(cache)) == 4 * 6 * 7
+
+
+def child_pids(pid):
+    """The pids of a process's children, read from /proc; none once it is gone."""
+    try:
+        return Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    except FileNotFoundError:
+        return []
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/PID/task/TID/children to see the worker",
+)
+def test_no_worker_outlives_a_killed_cofiber():
+    # The twist of (1, 8, 17) takes about a second, so the worker is still
+    # building it when the report, in its own session, is killed; the worker
+    # must then find its result pipe closed and exit.
+    env = dict(os.environ, PYTHONPATH=str(Path(grqn.__file__).parents[1]))
+    code = "\n".join([
+        "from grqn import cli",
+        "cli._usable_cpus = lambda: 2  # so it forks on any host",
+        "cli.main(['cofiber', '--n', '1', '--d', '8', '--m', '17'])",
+    ])
+    child = subprocess.Popen(
+        [sys.executable, "-c", code],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not workers and child.poll() is None and time.monotonic() < deadline:
+            workers = child_pids(child.pid)
+            time.sleep(0.005)
+        child.send_signal(signal.SIGKILL)
+    finally:
+        child.wait()
+    assert child.returncode == -signal.SIGKILL  # killed, so the report had not finished
+    assert len(workers) == 1
+    gone = process_group_ends(child.pid, 10)
+    if not gone:
+        os.killpg(child.pid, signal.SIGKILL)  # leave nothing running behind a failure
+    assert gone, "the twist worker outlived the killed report"
 
 
 def test_complete_last_record_without_line_break_is_kept(tmp_path):

@@ -90,6 +90,17 @@ def test_no_process_pool_in_the_package():
     assert not found, found
 
 
+def test_only_the_fork_map_forks():
+    # One fork site, whose exit kills and reaps every worker it forked: the
+    # sweep's workers and the cofiber's twist worker both come from it.
+    found = {
+        f"{name}.{enclosing(node)}"
+        for name, path in MODULES.items()
+        for node in references(parsed(path), "fork")
+    }
+    assert found == {"cli._fork_map"}
+
+
 def test_homology_imports_nothing_from_the_package():
     graph = import_graph()
     assert graph["homology"] == set()
