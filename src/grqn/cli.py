@@ -21,7 +21,7 @@ import sys
 import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from io import BufferedIOBase
 from itertools import chain, groupby
 from math import comb
@@ -220,17 +220,13 @@ def cofiber_report(n: int, d: int, m: int) -> dict:
     check_cell(n, d, m, least_d=1)
     _check_size(d, m)
     check_codimension(Grid(d, m - d))
-    tasks = [[(n, d, m)]]
-    if _usable_cpus() >= 2 and hasattr(os, "fork"):
-        twist = _fork_map(_twist_json, tasks, 1, "twist")
-    else:
-        twist = nullcontext(list(map(_twist_json, task)) for task in tasks)
-    with twist as results:
+    with _fork_map(_twist_json, [[(n, d, m)]], 1 if _usable_cpus() >= 2 else 0, "twist") as results:
         sub_profile, delta, sub = cofiber_homology(n, d, m)
         [(tag, payload)] = next(results)
     if tag == "failed":
         raise RuntimeError(payload)
     shift, spaces, blocks = payload
+    blocks = {t: tuple(int(col, 16) for col in cols) for t, cols in blocks}
     return {
         "n": n,
         "d": d,
@@ -240,18 +236,22 @@ def cofiber_report(n: int, d: int, m: int) -> dict:
         "predicted_cofiber": predicted_cofiber_k(n, d, m),
         "connecting_rank": delta,
         "predicted_delta_rank": predicted_delta_rank(n, d, m),
-        "twisted_match": GradedMap(shift, dict(spaces), dict(blocks)) == sub,
+        "twisted_match": GradedMap(shift, dict(spaces), blocks) == sub,
     }
 
 
 def _twist_json(cell: tuple[int, int, int]) -> tuple[str, list | str]:
-    """The cell's twist raised to the ideal's degrees as JSON data, or a failed check's message."""
+    """The cell's twist raised to the ideal's degrees as JSON data, or the message it raised.
+
+    Columns go as hex: Python caps int-to-decimal conversion at 4300 digits.
+    """
     n, d, m = cell
     try:
         gm = twisted_complex(n, d, m).shifted(m - d)
-    except RuntimeError as exc:
+    except Exception as exc:  # raised in the parent, as a worker cannot
         return "failed", str(exc)
-    return "ok", [gm.shift, [*gm.spaces.items()], [*gm.blocks.items()]]
+    blocks = [[t, [format(col, "x") for col in cols]] for t, cols in gm.blocks.items()]
+    return "ok", [gm.shift, [*gm.spaces.items()], blocks]
 
 
 def load_cache(handle: BufferedIOBase) -> dict[tuple[int, int, int, str], ResultRecord]:
@@ -311,7 +311,9 @@ def _sweep_json(cell: tuple[int, int, int]) -> tuple[str, dict | str]:
 def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator[Iterator[list]]:
     """``map(fn, task)`` for each task, in at most ``jobs`` workers forked on entry.
 
-    A worker reads task indices from its task pipe and sends each task's
+    With ``jobs`` 0, or where the platform cannot fork, the map runs in
+    process, lazily: each result is computed as the caller takes it.  A
+    worker reads task indices from its task pipe and sends each task's
     results down its result pipe as one line of JSON, so ``fn`` returns
     JSON data.  Tasks go out in order, each to whichever worker is free, and
     the map yields an iterator that gives a task's decoded results once it
@@ -320,6 +322,9 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
     its task.  On exit every worker still holding a task is killed, and
     every worker is reaped.
     """
+    if jobs < 1 or not hasattr(os, "fork"):
+        yield (map(fn, task) for task in tasks)
+        return
     pending = iter(range(len(tasks)))
     workers: dict[int, SimpleNamespace] = {}  # by the parent's end of the result pipe
     done: dict[int, list] = {}
@@ -427,12 +432,9 @@ def _sweep(
     # comb(m, d); the sort is stable, so ties stay in (d, c, n) order.
     tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
     order = list(chain.from_iterable(tasks))
-    if jobs > 1 and len(tasks) > 1 and hasattr(os, "fork"):
-        with _fork_map(_sweep_json, tasks, jobs, "sweep") as results:
-            for cell, (tag, payload) in zip(order, chain.from_iterable(results)):
-                yield cell, (tag, ResultRecord.from_dict(payload) if tag == "ok" else payload)
-    else:
-        yield from zip(order, map(_sweep_cell, order))
+    with _fork_map(_sweep_json, tasks, jobs if jobs > 1 and len(tasks) > 1 else 0, "sweep") as results:
+        for cell, (tag, payload) in zip(order, chain.from_iterable(results)):
+            yield cell, (tag, ResultRecord.from_dict(payload) if tag == "ok" else payload)
 
 
 def verify_sweep(

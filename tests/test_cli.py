@@ -689,13 +689,24 @@ def raise_in_the_twist(n, d, m):
     raise RuntimeError(f"planted twist failure at n={n} d={d} m={m}")
 
 
+def raise_a_bug_in_the_twist(n, d, m):
+    raise ValueError(f"planted bug at n={n} d={d} m={m}")
+
+
+def a_twist_with_a_wide_column(n, d, m):
+    # wider than the 4300 decimal digits Python converts an int to or from
+    return GradedMap(1, {0: 1, 1: 1}, {0: (1 << 15001,)})
+
+
 @pytest.mark.parametrize(
     "twist, out, err",
     [
         (lambda n, d, m: swap_two_classes(twisted_complex(n, d, m)), '"twisted_match": false', ""),
         (raise_in_the_twist, "", "grqn: cell n=1 d=3 m=7: planted twist failure at n=1 d=3 m=7\n"),
+        (raise_a_bug_in_the_twist, "", "grqn: cell n=1 d=3 m=7: planted bug at n=1 d=3 m=7\n"),
+        (a_twist_with_a_wide_column, '"twisted_match": false', ""),
     ],
-    ids=["another basis", "failed check"],
+    ids=["another basis", "failed check", "other exception", "wide column"],
 )
 def test_a_forked_twist_fails_as_the_serial_one_does(monkeypatch, capsys, twist, out, err):
     monkeypatch.setattr(cli, "twisted_complex", twist)  # before the worker forks
@@ -938,7 +949,7 @@ def test_main_table_empty_range_is_an_error(capsys, bounds):
 
 
 class RecordingForkMap:
-    """Stands in for the forked workers: records their count and the tasks, maps in process.
+    """Stands in for the fork map: records its worker counts (0 in process) and tasks, maps in process.
 
     Each task's results go through JSON, as they do from a worker.
     """
