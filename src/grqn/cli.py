@@ -292,19 +292,14 @@ def _usable_cpus() -> int:
 Outcome = tuple[str, ResultRecord | str | None]
 
 
-def _sweep_cell(cell: tuple[int, int, int]) -> Outcome:
+def _sweep_cell(cell: tuple[int, int, int]) -> tuple[str, dict | str]:
+    """The cell's outcome, its record as a dict so that a worker can send it as JSON."""
     n, d, m = cell
     try:
-        return "ok", compute_cell(n, d, m)
+        return "ok", compute_cell(n, d, m)._asdict()
     except Exception as exc:  # one failing cell must not end the sweep
         tag = "lower_bound" if isinstance(exc, LowerBoundViolation) else "failed"
         return tag, f"cell n={n} d={d} m={m}: {exc}"
-
-
-def _sweep_json(cell: tuple[int, int, int]) -> tuple[str, dict | str]:
-    """The cell's outcome with its record as a dict, for a worker to send as JSON."""
-    tag, payload = _sweep_cell(cell)
-    return tag, payload._asdict() if tag == "ok" else payload
 
 
 @contextmanager
@@ -375,11 +370,16 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
                 try:  # the worker keeps only its own two pipe ends
                     for fd in (task_w, result_r, *workers, *(w.inbox for w in workers.values())):
                         os.close(fd)
-                    with open(result_w, "wb") as out:
-                        while line := os.read(task_r, 32):  # empty at end of file
-                            out.write(json.dumps(list(map(fn, tasks[int(line)]))).encode() + b"\n")
-                            out.flush()  # JSON escapes line breaks
+                    # open until exit: the parent sees end of file after any traceback
+                    out = open(result_w, "wb")
+                    while line := os.read(task_r, 32):  # empty at end of file
+                        out.write(json.dumps(list(map(fn, tasks[int(line)]))).encode() + b"\n")
+                        out.flush()  # JSON escapes line breaks
                     os._exit(0)
+                except BrokenPipeError:  # the parent is gone
+                    pass
+                except Exception:
+                    sys.excepthook(*sys.exc_info())
                 finally:  # reached only on an exception
                     os._exit(1)
             os.close(task_r)
@@ -432,7 +432,7 @@ def _sweep(
     # comb(m, d); the sort is stable, so ties stay in (d, c, n) order.
     tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
     order = list(chain.from_iterable(tasks))
-    with _fork_map(_sweep_json, tasks, jobs if jobs > 1 and len(tasks) > 1 else 0, "sweep") as results:
+    with _fork_map(_sweep_cell, tasks, jobs if jobs > 1 and len(tasks) > 1 else 0, "sweep") as results:
         for cell, (tag, payload) in zip(order, chain.from_iterable(results)):
             yield cell, (tag, ResultRecord.from_dict(payload) if tag == "ok" else payload)
 
@@ -506,10 +506,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compute = sub.add_parser("compute", help="compute one cell")
-    p_compute.add_argument("--n", type=int, required=True)
-    p_compute.add_argument("--d", type=int, required=True)
-    p_compute.add_argument("--m", type=int, required=True)
+    one_cell = argparse.ArgumentParser(add_help=False)
+    for flag in ("--n", "--d", "--m"):
+        one_cell.add_argument(flag, type=int, required=True)
+
+    p_compute = sub.add_parser("compute", help="compute one cell", parents=[one_cell])
     p_compute.add_argument(
         "--basis", choices=["lenart", "derivation", "both", "auto"], default="auto"
     )
@@ -528,10 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--cache", default="grqn_cache.jsonl")
 
-    p_cofiber = sub.add_parser("cofiber", help="report on one inclusion cofiber")
-    p_cofiber.add_argument("--n", type=int, required=True)
-    p_cofiber.add_argument("--d", type=int, required=True)
-    p_cofiber.add_argument("--m", type=int, required=True)
+    sub.add_parser("cofiber", help="report on one inclusion cofiber", parents=[one_cell])
     return parser
 
 

@@ -76,12 +76,6 @@ class GradedMap:
     def __repr__(self) -> str:
         return f"GradedMap(shift={self.shift!r}, spaces={self.spaces!r}, blocks={self.blocks!r})"
 
-    def block(self, t: int) -> tuple[int, ...]:
-        return self.blocks.get(t, ())
-
-    def is_zero(self) -> bool:
-        return all(not any(cols) for cols in self.blocks.values())
-
     def compose_is_zero(self) -> bool:
         """Check the differential law: the block at t+shift kills every image."""
         for t, cols in self.blocks.items():

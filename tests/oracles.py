@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 
 from grqn import schubert, steenrod
 from grqn.cofiber import _ideal_cut, check_codimension
-from grqn.formulas import InvalidCell, _binomial_sum, _cofiber_sum, _comb, _grassmannian_sum
+from grqn.formulas import InvalidCell, _binomial_sum, _comb
 from grqn.homology import GradedMap, _echelon, column_product
 from grqn.schubert import Grid, _context
 from grqn.young import bits, partitions_in_grid
@@ -535,6 +535,27 @@ def pack(r: Monomial, slot: int) -> int:
 # --- closed forms and cofiber checks with no caller in the CLI ------------------
 
 
+def _eps_l(n: int, m: int) -> tuple[int, int]:
+    """The ``(eps, l)`` with ``m = 2^(n+1) - eps + 2l``, eps in {0, 1} and l >= 0."""
+    for eps in (0, 1):
+        twice_l = m - 2 ** (n + 1) + eps
+        if twice_l >= 0 and twice_l % 2 == 0:
+            return eps, twice_l // 2
+    raise InvalidCell(f"m={m} has no eps/l decomposition for n={n}")
+
+
+def _grassmannian_sum(n: int, d: int, m: int) -> int:
+    """The paper's total for Gr_d(R^m) past collapse: sum_i C(2^(n+1)-eps, d-2i) C(l, i)."""
+    eps, l = _eps_l(n, m)
+    return sum(_comb(2 ** (n + 1) - eps, d - 2 * i) * _comb(l, i) for i in range(l + 1))
+
+
+def _cofiber_sum(n: int, d: int, m: int) -> int:
+    """The paper's reduced cofiber total past collapse: sum_i C(2^(n+1)-1-eps, d-1-2i) C(l, i)."""
+    eps, l = _eps_l(n, m)
+    return sum(_comb(2 ** (n + 1) - 1 - eps, d - 1 - 2 * i) * _comb(l, i) for i in range(l + 1))
+
+
 def lemma65_check(n: int, d: int, l: int) -> bool:
     """Exact integer identity tying the three closed forms to the delta rank.
 
@@ -623,11 +644,11 @@ def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:
     full = schubert.lenart_qn_matrix(n, grid)
     sub, _ = full.restrict(_ideal_cut(grid))
     for t, dim in sub.spaces.items():
-        block = sub.blocks.get(t)
-        cocycles = _kernel_basis(block) if block else [1 << j for j in range(dim)]
+        cols = sub.blocks.get(t)
+        cocycles = _kernel_basis(cols) if cols else [1 << j for j in range(dim)]
         if not cocycles:
             continue
-        boundaries = _echelon(full.block(t - full.shift))
+        boundaries = _echelon(block(full, t - full.shift))
         # the ideal's basis is a prefix of the whole basis, so a cocycle's
         # mask is already its mask in the whole complex
         if not all(_in_span(z, boundaries) for z in cocycles):
@@ -665,6 +686,16 @@ def restrict_selection(gm: GradedMap, selection: dict[int, list[int]]) -> Graded
 
 
 # --- bit-packed vectors read back as sets --------------------------------------
+
+
+def block(gm: GradedMap, t: int) -> tuple[int, ...]:
+    """The columns of ``gm`` at degree t, empty where it has no block."""
+    return gm.blocks.get(t, ())
+
+
+def is_zero(gm: GradedMap) -> bool:
+    """Whether every column of every block of ``gm`` is zero."""
+    return all(not any(cols) for cols in gm.blocks.values())
 
 
 def decode(mask: int, basis: Sequence[int]) -> set[int]:

@@ -545,16 +545,13 @@ def test_a_twist_in_another_basis_fails_the_bit_for_bit_check(monkeypatch, capsy
     assert bad == {**good, "twisted_match": False}
 
 
-@pytest.mark.parametrize(
-    "command, closed_form",
-    [("compute", "_grassmannian_sum"), ("cofiber", "_cofiber_sum")],
-)
-def test_a_formula_branch_disagreement_is_a_clean_error(monkeypatch, capsys, command, closed_form):
+@pytest.mark.parametrize("command", ["compute", "cofiber"])
+def test_a_formula_branch_disagreement_is_a_clean_error(monkeypatch, capsys, command):
     argv = [command, "--n", "1", "--d", "2", "--m", "4"]
     assert main(argv) == 0
     capsys.readouterr()
-    real = getattr(formulas, closed_form)
-    monkeypatch.setattr(formulas, closed_form, lambda n, d, m: real(n, d, m) + 1)
+    real = formulas._binomial_sum
+    monkeypatch.setattr(formulas, "_binomial_sum", lambda top, k, l: real(top, k, l) + 1)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -1072,6 +1069,56 @@ def test_a_dead_worker_is_a_clean_error_and_leaves_no_child(tmp_path, monkeypatc
     assert kept == [6, 5][: len(kept)]
     assert Path(cache).read_text().count("\n") == len(kept) == len(load_cache_at(cache))
     with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_raises_prints_its_traceback_then_dies_with_status_1(tmp_path):
+    # In a fresh process: a forked worker's stderr is the process's own, which capsys cannot see.
+    statement = "\n".join([
+        "import sys",
+        "from grqn import cli",
+        "real = cli._sweep_cell",
+        "cli._sweep_cell = lambda cell: {1} if cell == (1, 2, 4) else real(cell)",
+        "cli._usable_cpus = lambda: 2",
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(grqn.__file__).parents[1]))
+    for run in range(5):
+        argv = ["verify", "--n", "1", "--d", "1..2", "--c", "1..2", "--jobs", "2"]
+        argv += ["--cache", str(tmp_path / f"{run}.jsonl")]
+        done = subprocess.run(
+            [sys.executable, "-c", statement, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        traceback, died = done.stderr.split("TypeError: Object of type set is not JSON serializable\n")
+        assert traceback.startswith("Traceback (most recent call last):\n")
+        assert died == "grqn: sweep worker died with exit status 1 on cell n=1 d=2 m=4\n"
+
+
+def test_a_worker_dead_before_its_next_task_is_a_clean_error_and_leaves_no_child(monkeypatch):
+    fork, write, pids, writes = os.fork, os.write, [], []
+
+    def recording_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    def write_to_a_dead_worker(fd, data):
+        writes.append(data)
+        if len(writes) == 2:  # the second task: its worker is gone and its task pipe has no reader
+            os.kill(pids[0], signal.SIGKILL)
+            os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "write", write_to_a_dead_worker)
+    with pytest.raises(cli.WorkerDied, match=r"^sweep worker died with exit status -9 on cell n=2 d=2 m=2$"):
+        with cli._fork_map(str, [[(1, 1, 1)], [(2, 2, 2)]], 1, "sweep") as results:
+            assert next(results) == ["(1, 1, 1)"]
+            next(results)
+    assert writes == [b"0\n", b"1\n"]
+    with pytest.raises(ChildProcessError):  # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
 
 

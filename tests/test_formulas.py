@@ -5,15 +5,15 @@ from math import comb
 
 import pytest
 
-from grqn.formulas import (
-    InvalidCell,
+from grqn.formulas import InvalidCell, predicted_cofiber_k, predicted_delta_rank, predicted_k
+from oracles import (
     _cofiber_sum,
     _grassmannian_sum,
-    predicted_cofiber_k,
-    predicted_delta_rank,
-    predicted_k,
+    binom_parity,
+    fixed_point_count,
+    lemma65_check,
+    projective_k,
 )
-from oracles import binom_parity, fixed_point_count, lemma65_check, projective_k
 
 
 def test_predicted_k_table_values():
@@ -32,6 +32,20 @@ def test_predicted_k_collapse_branch():
         for m in range(bound + 1):
             for d in range(m + 1):
                 assert predicted_k(n, d, m) == comb(m, d)
+
+
+def test_predictions_match_the_papers_sums_on_every_small_cell():
+    # The binomials hold for m <= 2^(n+1), the sums for m >= 2^(n+1) - 1.
+    for n in range(7):
+        collapse = 2 ** (n + 1)
+        for m in range(70):
+            for d in range(m + 1):
+                if m <= collapse:
+                    assert predicted_k(n, d, m) == comb(m, d), (n, d, m)
+                    assert d == 0 or predicted_cofiber_k(n, d, m) == comb(m - 1, d - 1), (n, d, m)
+                if m >= collapse - 1:
+                    assert predicted_k(n, d, m) == _grassmannian_sum(n, d, m), (n, d, m)
+                    assert d == 0 or predicted_cofiber_k(n, d, m) == _cofiber_sum(n, d, m), (n, d, m)
 
 
 def test_predicted_k_rejects_bad_cells():

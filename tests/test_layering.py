@@ -279,6 +279,38 @@ def test_only_the_sweep_and_the_compute_command_run_a_cell():
     assert ast.unparse(up.test) == "args.command == 'compute'"
 
 
+def unused_definitions(trees, exported):
+    """Functions, methods and classes that no code names outside their own definition.
+
+    Names in ``exported``, dunders and ``main`` count as used.
+    """
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in exported or name == "main" or name.startswith("__") and name.endswith("__"):
+                continue
+            inside = {id(child) for child in ast.walk(node)}
+            if all(id(ref) in inside for t in trees.values() for ref in references(t, name)):
+                yield f"{module}.py:{node.lineno} {name}"
+
+
+def test_every_definition_in_the_package_has_a_caller_in_it():
+    # Code that only tests call lives in the tests' oracles.
+    sample = {"m": ast.parse("def f():\n    f()\n\ndef g():\n    f()\n\ndef main():\n    pass")}
+    assert list(unused_definitions(sample, set())) == ["m.py:4 g"]  # the scan works
+    trees = {name: parsed(path) for name, path in MODULES.items()}
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    found = list(unused_definitions(trees, exported))
+    assert not found, found
+
+
 def main_clauses():
     """Each except clause of ``cli.main``: the names it catches and the codes it returns."""
     tree = parsed(MODULES["cli"])
