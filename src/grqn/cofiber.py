@@ -31,20 +31,18 @@ def check_codimension(grid: Grid) -> None:
 def twisted_complex(n: int, d: int, m: int) -> GradedMap:
     """The cofiber complex modeled on the smaller Grassmannian's cohomology.
 
-    On x in H^*(Gr_{d-1}(R^{m-1})) the differential is Q_n(x) + x * a where
-    a is the degree-(2^(n+1)-1) additive characteristic class of the
-    canonical (d-1)-plane bundle.
+    On x in H^*(Gr_{d-1}(R^{m-1})) the differential is T(x) = Q_n(x) + x a,
+    with a = alpha_n = s_(2^(n+1)-1) the degree-(2^(n+1)-1) additive class of
+    the canonical (d-1)-plane bundle.  T(w_k x) = w_k T(x) + x Q_n(w_k), so
+    T is built as Q_n is, from T(1) = a, which the map needs only when it
+    has a block (where a packs exactly).
     """
     if d < 1 or m < d + 1:
         raise InvalidCell(f"twisted complex needs d >= 1 and m > d, got d={d} m={m}")
     shift = 2 ** (n + 1) - 1
     grid = Grid(d - 1, m - d)
-    parts = schubert.derivation_parts(n, grid)
-    # a has degree shift: the map needs it, and it packs exactly, only when
-    # the map has a block.
-    if shift <= grid.top_degree:
-        parts.append((None, steenrod.power_sums(grid.d, grid.slot, shift)[shift]))
-    return schubert.free_operator_matrix(grid, shift, parts)
+    a = steenrod.power_sums(grid.d, grid.slot, shift)[shift] if shift <= grid.top_degree else ()
+    return schubert.free_operator_matrix(grid, shift, schubert.derivation_parts(n, grid), a)
 
 
 def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int, GradedMap]:

@@ -1,9 +1,9 @@
 """The truncated cohomology ring of a finite Grassmannian in the Schubert basis.
 
 Two independent constructions of the degree-raising primitive are provided:
-the border-strip coefficient formula applied directly to Schubert classes,
-and Q_n as a derivation on Stiefel-Whitney monomials, with generator images
-from power sums (see ``steenrod``), conjugated into the Schubert basis.
+the border-strip coefficient formula on Schubert classes, and Q_n as a
+derivation, one Leibniz step per Stiefel-Whitney monomial from generator
+images built from power sums (see ``steenrod``), in the Schubert basis.
 Their bit-for-bit agreement is the project's main cross-check.
 
 A Schubert class is the bead word of its partition (see ``young``), and a
@@ -172,48 +172,51 @@ def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:
 
 
 def free_operator_matrix(
-    grid: Grid, shift: int, parts: list[tuple[int | None, Iterable[int]]]
+    grid: Grid, shift: int, images: list[set[int]], one: Iterable[int] = ()
 ) -> GradedMap:
-    """Matrix of a free-ring operator pushed to the Schubert basis.
+    """Matrix of T = D + (times a), D a derivation, pushed to the Schubert basis.
 
-    The operator is a sum of parts, each a packed polynomial p with a
-    generator j or None: (j, p) sends a monomial w^r with r_j odd to
-    w^(r - e_j) * p and every other monomial to 0, and (None, p) sends w^r
-    to w^r * p.  Each p has degree shift, plus j for a generator.  It is
-    converted to the Schubert basis once, and the products are reached from
-    it through the Pieri chain walk, output degree by output degree: after
-    degree s no later product has a direct prefix of degree s - d or less,
-    so those buckets are dropped.  The result is pushed through the grid's
-    basis change by forward substitution: the monomial of the word at index
-    i converts to s_i plus classes at larger indices, solved before it in
-    ascending word order, so the operator's column i is the monomial's
-    image plus their columns.  A basis change that is not unitriangular is a
-    ``RuntimeError``.
+    ``images`` are the packed polynomials D(w_1), D(w_2), .., of degree
+    shift + k (a generator past them maps to 0), and ``one`` is T(1) = a.
+    T(w_k x) = w_k T(x) + x D(w_k), so with k the top generator of a basis
+    monomial r = u + e_k, T(w^r) = P_k T(w^u) + w^u D(w_k) for odd r_k and,
+    as D(w_k^2) = 0, P_k (T(w^u) + w^(u - e_k) D(w_k)) for even r_k, whose
+    last term was kept when w^u was built.  Each D(w_k) is converted once;
+    w^u D(w_k) comes from it by the Pieri chain walk, peeling w_k last, so
+    a cofactor's prefix is a smaller monomial's cofactor at most d degrees
+    below, and older images and buckets are dropped.  Forward substitution
+    then solves the basis change: the monomial of the word at index i is
+    s_i plus classes at larger indices, solved before it in ascending word
+    order.  A basis change that is not unitriangular is a ``RuntimeError``.
     """
     ctx = _context(grid)
     slot, d = grid.slot, grid.d
-    # (bit, t0, chain): w^r takes part in the chain iff it holds bit, the
-    # low bit of r_j (0 for no generator), and its cofactor is w^r - bit.
-    # Peeling w_j last, a cofactor's prefix is the cofactor of a smaller
-    # basis monomial, cached at most d degrees below.
-    chains = []
-    for j, poly in parts:
-        t0 = shift + (j or 0)
+    chains = {}
+    for k, poly in enumerate([one, *images]):
         base = 0
         for v in poly:
-            base ^= ctx.convert(v, t0)
-        if base:
-            chains.append((1 << slot * (j - 1) if j else 0, t0, {t0: {0: base}}))
+            base ^= ctx.convert(v, shift + k)
+        chains[k] = {shift + k: {0: base}}
+    at_one = chains.pop(0)[shift][0]
+    # by degree of r: w^r -> (T(w^r), w^(r - e_k) D(w_k) for odd r_k, else 0)
+    image: dict[int, dict[int, tuple[int, int]]] = {}
     blocks: dict[int, tuple[int, ...]] = {}
     for t in range(grid.top_degree - shift + 1):
         s = t + shift
         monomials = ctx.monomials[t]
         cols = [0] * len(monomials)
+        done = image[t] = {}
         for i, r in zip(reversed(range(len(cols))), monomials):
-            out = 0
-            for bit, _, chain in chains:
-                if r & bit == bit:
-                    out ^= ctx.product(chain, r - bit, s, bit)
+            out, term = at_one, 0
+            if r:
+                k = (r.bit_length() - 1) // slot + 1
+                unit = 1 << slot * (k - 1)
+                low, below = image[t - k][r - unit]
+                odd = r // unit & 1
+                if odd and k in chains:
+                    term = ctx.product(chains[k], r - unit, s, unit)
+                out = column_product(ctx.pieri_block(k, s - k), low if odd else low ^ below) ^ term
+            done[r] = out, term
             b = ctx.convert(r, t)
             if b & (2 << i) - 1 != 1 << i:
                 raise RuntimeError(
@@ -221,23 +224,23 @@ def free_operator_matrix(
                 )
             cols[i] = out ^ column_product(cols, b ^ 1 << i)
         blocks[t] = tuple(cols)
-        for _, t0, chain in chains:
-            for k in [k for k in chain if t0 < k <= s - d]:
-                del chain[k]
+        image.pop(t - d, None)
+        for k, chain in chains.items():
+            for old in [old for old in chain if shift + k < old <= s - d]:
+                del chain[old]
     return GradedMap(shift, ctx.spaces, blocks)
 
 
-def derivation_parts(n: int, grid: Grid) -> list[tuple[int | None, set[int]]]:
-    """Q_n on the grid's monomials as a derivation: the part (j, Q_n(w_j)) per generator.
+def derivation_parts(n: int, grid: Grid) -> list[set[int]]:
+    """Q_n(w_1), Q_n(w_2), .. on the grid's packed monomials, as a derivation needs them.
 
-    Q_n(w^r) is the sum of w^(r - e_j) * Q_n(w_j) over each j with r_j odd.
     Generators whose image passes the top degree appear in no image the
     matrix needs, so their images are never built.
     """
     if n < 0:
         raise ValueError(f"primitive index must be nonnegative, got {n}")
     count = min(grid.d, grid.top_degree - 2 ** (n + 1) + 1)
-    return list(enumerate(steenrod.milnor_q_generators(n, grid.d, grid.slot, count), start=1))
+    return steenrod.milnor_q_generators(n, grid.d, grid.slot, count)
 
 
 def derivation_qn_matrix(n: int, grid: Grid) -> GradedMap:

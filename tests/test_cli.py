@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grqn
-from grqn import cli, formulas, homology, schubert
+from grqn import cli, formulas, homology, schubert, steenrod
 from grqn.cli import (
     InvariantViolation,
     LowerBoundViolation,
@@ -712,6 +712,35 @@ def test_a_forked_twist_fails_as_the_serial_one_does(monkeypatch, capsys, twist,
     assert forked[0] == 1
     assert out in forked[1] and (out or forked[1] == "")
     assert forked[2] == err
+
+
+def test_a_flipped_term_of_one_generator_image_fails_the_route_check(monkeypatch, capsys):
+    argv = ["compute", "--basis", "both", "--n", "1", "--d", "3", "--m", "7"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    real = steenrod.milnor_q_generators
+
+    def flipped(n, d, slot, count):
+        images = real(n, d, slot, count)
+        images[1] ^= {2 ** (n + 1) + 1}  # flip w_1^(deg Q_n(w_2)) in Q_n(w_2)
+        return images
+
+    monkeypatch.setattr(steenrod, "milnor_q_generators", flipped)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("grqn: cell n=1 d=3 m=7: matrix constructions disagree at n=1")
+
+
+def test_a_twist_without_alpha_fails_forked_and_serial(monkeypatch, capsys):
+    real = schubert.free_operator_matrix
+    monkeypatch.setattr(
+        schubert, "free_operator_matrix", lambda grid, shift, images, one=(): real(grid, shift, images)
+    )
+    forked, serial = forked_and_serial(monkeypatch, capsys, ["cofiber", "--n=1", "--d=3", "--m=7"])
+    assert forked == serial
+    assert forked[0] == 1 and forked[2] == ""
+    assert json.loads(forked[1])["twisted_match"] is False
 
 
 def test_a_dead_twist_worker_is_a_clean_error_and_leaves_no_child(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from grqn.schubert import (
     Grid,
     _context,
     _GridContext,
+    derivation_parts,
     derivation_qn_matrix,
     lenart_qn_matrix,
     schubert_basis,
@@ -398,6 +399,31 @@ def test_wu_route_matches_the_per_term_route_property(n, d, c):
     assert derivation_qn_matrix(n, g) == per_term_derivation_matrix(n, g)
     if c:
         assert twisted_complex(n, d + 1, d + 1 + c) == per_term_twisted_complex(n, d + 1, d + 1 + c)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_leibniz_steps_match_the_per_term_route_on_long_pure_powers(n):
+    # With d <= 2 and c up to 12 the bases hold w_k^(2a) for long runs of a:
+    # each is an even step from the odd power below it, and the Pieri chain
+    # of an odd power w_k^(2a+1) reaches back 2k > d degrees, past the
+    # buckets it drops.
+    for d in (1, 2):
+        for c in range(13):
+            g = Grid(d, c)
+            assert derivation_qn_matrix(n, g) == per_term_derivation_matrix(n, g), (n, d, c)
+            if c:
+                m = d + 1 + c
+                assert twisted_complex(n, d + 1, m) == per_term_twisted_complex(n, d + 1, m), (n, m)
+
+
+@pytest.mark.parametrize("n, d, c", [(1, 2, 2), (2, 4, 2), (2, 5, 2), (2, 6, 2), (3, 6, 3), (3, 7, 3)])
+def test_leibniz_steps_match_the_per_term_route_past_the_last_generator_image(n, d, c):
+    # derivation_parts stops short of d here: Q_n(w_k) for the top generators
+    # passes the top degree, so their steps carry only the Pieri product.
+    g = Grid(d, c)
+    assert 0 < len(derivation_parts(n, g)) < d
+    assert derivation_qn_matrix(n, g) == per_term_derivation_matrix(n, g)
+    assert twisted_complex(n, d + 1, d + 1 + c) == per_term_twisted_complex(n, d + 1, d + 1 + c)
 
 
 def test_lenart_matrix_commutes_with_conjugation():
