@@ -601,14 +601,27 @@ def plant_route_disagreement(monkeypatch):
     monkeypatch.setattr(cli, "derivation_qn_matrix", zero_map)
 
 
+def plant_flipped_generator_term(monkeypatch):
+    """Q_n(w_2) gains or loses its term w_1^(2^(n+1) + 1)."""
+    real = steenrod.milnor_q_generators
+
+    def flipped(n, d, slot, count):
+        images = real(n, d, slot, count)
+        images[1] ^= {2 ** (n + 1) + 1}
+        return images
+
+    monkeypatch.setattr(steenrod, "milnor_q_generators", flipped)
+
+
 @pytest.mark.parametrize(
     "command, plant, message",
     [
         ("compute", plant_totals_one_high, "odd defect 10 - 5 at n=1 d=2 m=5"),
         ("cofiber", plant_totals_one_high, "exactness defect 5 at n=1 d=2 m=5"),
         ("compute --basis both", plant_route_disagreement, "matrix constructions disagree at n=1"),
+        ("compute --basis both", plant_flipped_generator_term, "matrix constructions disagree at n=1"),
     ],
-    ids=["compute parity", "cofiber parity", "routes disagree"],
+    ids=["compute parity", "cofiber parity", "routes disagree", "generator image"],
 )
 def test_a_failed_bug_check_on_one_cell_is_a_clean_error(monkeypatch, capsys, command, plant, message):
     argv = [*command.split(), "--n", "1", "--d", "2", "--m", "5"]
@@ -690,6 +703,11 @@ def raise_a_bug_in_the_twist(n, d, m):
     raise ValueError(f"planted bug at n={n} d={d} m={m}")
 
 
+def a_twist_without_alpha(n, d, m):
+    grid = Grid(d - 1, m - d)
+    return schubert.free_operator_matrix(grid, 2 ** (n + 1) - 1, schubert.derivation_parts(n, grid))
+
+
 def a_twist_with_a_wide_column(n, d, m):
     # wider than the 4300 decimal digits Python converts an int to or from
     return GradedMap(1, {0: 1, 1: 1}, {0: (1 << 15001,)})
@@ -702,8 +720,9 @@ def a_twist_with_a_wide_column(n, d, m):
         (raise_in_the_twist, "", "grqn: cell n=1 d=3 m=7: planted twist failure at n=1 d=3 m=7\n"),
         (raise_a_bug_in_the_twist, "", "grqn: cell n=1 d=3 m=7: planted bug at n=1 d=3 m=7\n"),
         (a_twist_with_a_wide_column, '"twisted_match": false', ""),
+        (a_twist_without_alpha, '"twisted_match": false', ""),
     ],
-    ids=["another basis", "failed check", "other exception", "wide column"],
+    ids=["another basis", "failed check", "other exception", "wide column", "no alpha"],
 )
 def test_a_forked_twist_fails_as_the_serial_one_does(monkeypatch, capsys, twist, out, err):
     monkeypatch.setattr(cli, "twisted_complex", twist)  # before the worker forks
@@ -712,35 +731,6 @@ def test_a_forked_twist_fails_as_the_serial_one_does(monkeypatch, capsys, twist,
     assert forked[0] == 1
     assert out in forked[1] and (out or forked[1] == "")
     assert forked[2] == err
-
-
-def test_a_flipped_term_of_one_generator_image_fails_the_route_check(monkeypatch, capsys):
-    argv = ["compute", "--basis", "both", "--n", "1", "--d", "3", "--m", "7"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    real = steenrod.milnor_q_generators
-
-    def flipped(n, d, slot, count):
-        images = real(n, d, slot, count)
-        images[1] ^= {2 ** (n + 1) + 1}  # flip w_1^(deg Q_n(w_2)) in Q_n(w_2)
-        return images
-
-    monkeypatch.setattr(steenrod, "milnor_q_generators", flipped)
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("grqn: cell n=1 d=3 m=7: matrix constructions disagree at n=1")
-
-
-def test_a_twist_without_alpha_fails_forked_and_serial(monkeypatch, capsys):
-    real = schubert.free_operator_matrix
-    monkeypatch.setattr(
-        schubert, "free_operator_matrix", lambda grid, shift, images, one=(): real(grid, shift, images)
-    )
-    forked, serial = forked_and_serial(monkeypatch, capsys, ["cofiber", "--n=1", "--d=3", "--m=7"])
-    assert forked == serial
-    assert forked[0] == 1 and forked[2] == ""
-    assert json.loads(forked[1])["twisted_match"] is False
 
 
 def test_a_dead_twist_worker_is_a_clean_error_and_leaves_no_child(monkeypatch, capsys):
