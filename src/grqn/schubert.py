@@ -15,10 +15,11 @@ in its degree, the bit it sets in a column, as a word fixes its degree.
 The monomial of lam is e_(lam') = s_lam plus Schubert classes of smaller
 words (Macdonald I.6), so each degree's basis change is unitriangular and
 the Wu route solves it by forward substitution.
-Per-grid state (both bases, their dimensions, that index, multiplication
-blocks and the conversion cache) is kept for the last grid used only, as
-every command uses its grids one after another; all cached values are
-deterministic, so concurrent use cannot produce divergent results.
+Per-grid state (both bases, their dimensions and places, Pieri blocks,
+conversions and each degree's Leibniz steps, shared by every n) is kept
+for the last grid used only, as every command uses its grids one after
+another; all cached values are deterministic, so concurrent use cannot
+produce divergent results.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class _GridContext:
         self.spaces = {t: len(words) for t, words in self.basis.items()}
         self._pieri: dict[int, list[tuple[int, ...]]] = {}
         self._convert: dict[int, dict[int, int]] = {0: {0: 1}}
+        self._steps: dict[int, list[tuple[int, int, int, int, int, int, bool]]] = {}
 
     def pieri_block(self, j: int, t: int) -> tuple[int, ...]:
         """Columns of multiplication by w_j, 1 <= j <= d, from degree t to degree t + j.
@@ -125,6 +127,29 @@ class _GridContext:
         """Bitmask of the Schubert expansion of the degree-t packed monomial u."""
         return self.product(self._convert, u, t)
 
+    def steps(self, t: int) -> list[tuple[int, int, int, int, int, int, bool]]:
+        """Per monomial r = u + e_k of degree t, in order, ``free_operator_matrix``'s step.
+
+        That is (i, mask, k, u's ``position``, u, e_k packed, r_k odd), k the
+        top generator (0 for r = 1): r's word is s_i plus the classes in mask,
+        of larger indices.  A degree is cached once all its steps are checked.
+        """
+        steps = self._steps.get(t)
+        if steps is None:
+            grid, slot, position, steps = self.grid, self.slot, self.position, []
+            units = [0] + [1 << slot * j for j in range(grid.d)]
+            for i, r in zip(reversed(range(self.spaces[t])), self.monomials[t]):
+                b = self.convert(r, t)
+                if b & (2 << i) - 1 != 1 << i:
+                    raise RuntimeError(
+                        f"basis change at degree {t} of grid {grid.d}x{grid.c} is not unitriangular"
+                    )
+                k = (r.bit_length() - 1) // slot + 1
+                unit = units[k]
+                steps.append((i, b ^ 1 << i, k, position[r - unit], r - unit, unit, r & unit > 0))
+            self._steps[t] = steps
+        return steps
+
     @cached_property
     def monomials(self) -> dict[int, list[int]]:
         """Packed monomial basis by degree, one per word, in ascending word order.
@@ -143,6 +168,11 @@ class _GridContext:
             return sum(beads[j] - beads[j + 1] - 1 << slot * j for j in range(d))
 
         return {t: [monomial(w) for w in reversed(words)] for t, words in self.basis.items()}
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Each packed monomial's place in its degree of ``monomials``, as ``index`` is for words."""
+        return {r: p for monomials in self.monomials.values() for p, r in enumerate(monomials)}
 
 
 @lru_cache(maxsize=1)
@@ -187,46 +217,41 @@ def free_operator_matrix(
     below, and older images and buckets are dropped.  Forward substitution
     then solves the basis change: the monomial of the word at index i is
     s_i plus classes at larger indices, solved before it in ascending word
-    order.  A basis change that is not unitriangular is a ``RuntimeError``.
+    order.  ``steps`` holds what of this T does not change.  A basis change
+    that is not unitriangular is a ``RuntimeError``, even if the map is 0.
     """
     ctx = _context(grid)
-    slot, d = grid.slot, grid.d
-    chains = {}
+    bases = []
     for k, poly in enumerate([one, *images]):
         base = 0
         for v in poly:
             base ^= ctx.convert(v, shift + k)
-        chains[k] = {shift + k: {0: base}}
-    at_one = chains.pop(0)[shift][0]
-    # by degree of r: w^r -> (T(w^r), w^(r - e_k) D(w_k) for odd r_k, else 0)
-    image: dict[int, dict[int, tuple[int, int]]] = {}
+        bases.append(base)
+    steps = [ctx.steps(t) for t in range(grid.top_degree - shift + 1)]
+    if not any(bases):
+        return GradedMap(shift, ctx.spaces)
+    chains = {k: {shift + k: {0: base}} for k, base in enumerate(bases) if k}
+    # by degree and position of r: (T(w^r), w^(r - e_k) D(w_k) for odd r_k, else 0)
+    image: dict[int, list[tuple[int, int]]] = {}
     blocks: dict[int, tuple[int, ...]] = {}
-    for t in range(grid.top_degree - shift + 1):
+    for t, degree in enumerate(steps):
         s = t + shift
-        monomials = ctx.monomials[t]
-        cols = [0] * len(monomials)
-        done = image[t] = {}
-        for i, r in zip(reversed(range(len(cols))), monomials):
-            out, term = at_one, 0
-            if r:
-                k = (r.bit_length() - 1) // slot + 1
-                unit = 1 << slot * (k - 1)
-                low, below = image[t - k][r - unit]
-                odd = r // unit & 1
+        pieri = {k: ctx.pieri_block(k, s - k) for k in {step[2] for step in degree} - {0}}
+        cols = [0] * len(degree)
+        done = image[t] = []
+        for i, mask, k, p, u, unit, odd in degree:
+            out, term = bases[0], 0
+            if k:
+                low, below = image[t - k][p]
                 if odd and k in chains:
-                    term = ctx.product(chains[k], r - unit, s, unit)
-                out = column_product(ctx.pieri_block(k, s - k), low if odd else low ^ below) ^ term
-            done[r] = out, term
-            b = ctx.convert(r, t)
-            if b & (2 << i) - 1 != 1 << i:
-                raise RuntimeError(
-                    f"basis change at degree {t} of grid {grid.d}x{grid.c} is not unitriangular"
-                )
-            cols[i] = out ^ column_product(cols, b ^ 1 << i)
+                    term = ctx.product(chains[k], u, s, unit)
+                out = column_product(pieri[k], low if odd else low ^ below) ^ term
+            done.append((out, term))
+            cols[i] = out ^ column_product(cols, mask)
         blocks[t] = tuple(cols)
-        image.pop(t - d, None)
+        image.pop(t - grid.d, None)
         for k, chain in chains.items():
-            for old in [old for old in chain if shift + k < old <= s - d]:
+            for old in [old for old in chain if shift + k < old <= s - grid.d]:
                 del chain[old]
     return GradedMap(shift, ctx.spaces, blocks)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from grqn.cli import main
 from grqn.cofiber import _ideal_cut, twisted_complex
-from grqn.homology import _echelon
+from grqn.homology import GradedMap, _echelon
 from grqn.schubert import (
     Grid,
     _context,
@@ -224,26 +224,51 @@ def test_basis_change_is_invertible():
             assert total == comb(d + c, d)
 
 
-def test_a_basis_change_that_is_not_unitriangular_is_caught(monkeypatch, capsys):
-    # Plant one bit of a larger word in the conversion of the degree-2
-    # monomial of the smallest word, (1, 1), on the 2x3 grid.
-    grid, degree = Grid(2, 3), 2
-    smallest = _context(grid).monomials[degree][0]
+def plant_basis_change_fault(monkeypatch, grid, degree, pick):
+    """Flip bit 0, the largest word, in the conversion of ``pick(monomials[degree])``.
+
+    The grid context is cleared first, so the steps of every degree are
+    built, and checked, under the plant, whichever test built them before.
+    """
+    _context.cache_clear()
+    planted_u = pick(_context(grid).monomials[degree])
     real = _GridContext.convert
 
     def planted(self, u, t):
         out = real(self, u, t)
-        if self.grid == grid and t == degree and u == smallest:
-            out ^= 1  # index 0, the degree's largest word
+        if self.grid == grid and t == degree and u == planted_u:
+            out ^= 1
         return out
 
     monkeypatch.setattr(_GridContext, "convert", planted)
+
+
+def test_a_basis_change_that_is_not_unitriangular_is_caught(monkeypatch, capsys):
+    # Plant one bit of a larger word in the conversion of the degree-2
+    # monomial of the smallest word, (1, 1), on the 2x3 grid.
+    grid, degree = Grid(2, 3), 2
+    plant_basis_change_fault(monkeypatch, grid, degree, lambda monomials: monomials[0])
     with pytest.raises(RuntimeError, match="basis change at degree 2 of grid 2x3 is not unitriangular"):
         derivation_qn_matrix(1, grid)
     assert main(["compute", "--n", "1", "--d", "2", "--m", "5", "--basis", "derivation"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("grqn: cell n=1 d=2 m=5: basis change at degree 2")
+
+
+def test_a_step_build_that_raises_caches_nothing(monkeypatch, capsys):
+    # Drop the own class of the last monomial of degree 3 on the 3x3 grid, so
+    # the degree's other steps are built before its build raises.
+    grid, degree = Grid(3, 3), 3
+    plant_basis_change_fault(monkeypatch, grid, degree, lambda monomials: monomials[-1])
+    assert len(_context(grid).monomials[degree]) == 3
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="basis change at degree 3 of grid 3x3"):
+            derivation_qn_matrix(1, grid)
+        assert degree not in _context(grid)._steps and 2 in _context(grid)._steps
+    for _ in range(2):
+        assert main(["compute", "--n", "1", "--d", "3", "--m", "6", "--basis", "derivation"]) == 1
+        assert capsys.readouterr().err.startswith("grqn: cell n=1 d=3 m=6: basis change at degree 3")
 
 
 def test_monomials_are_the_exponents_with_at_most_c_factors():
@@ -424,6 +449,74 @@ def test_leibniz_steps_match_the_per_term_route_past_the_last_generator_image(n,
     assert 0 < len(derivation_parts(n, g)) < d
     assert derivation_qn_matrix(n, g) == per_term_derivation_matrix(n, g)
     assert twisted_complex(n, d + 1, d + 1 + c) == per_term_twisted_complex(n, d + 1, d + 1 + c)
+
+
+def test_a_second_n_shares_the_grids_steps():
+    # Once one n has built a grid's steps, another n converts only the terms
+    # of its generator images, and gets the matrices a fresh context gives,
+    # for Q_n and for the twisted complex on the grid.
+    grid = Grid(4, 5)
+    fresh = {}
+    for n in range(4):
+        _context.cache_clear()
+        q = derivation_qn_matrix(n, grid)
+        _context.cache_clear()
+        fresh[n] = q, twisted_complex(n, grid.d + 1, grid.m + 1)
+    _context.cache_clear()
+    derivation_qn_matrix(0, grid)
+    real, calls = _GridContext.convert, []
+
+    def recording(self, u, t):
+        calls.append((u, t))
+        return real(self, u, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_GridContext, "convert", recording)
+        for n in range(4):
+            shift = 2 ** (n + 1) - 1
+            del calls[:]
+            assert derivation_qn_matrix(n, grid) == fresh[n][0], n
+            parts = derivation_parts(n, grid)
+            assert sorted(calls) == sorted((v, shift + k) for k, p in enumerate(parts, 1) for v in p)
+            assert twisted_complex(n, grid.d + 1, grid.m + 1) == fresh[n][1], n
+
+
+def test_steps_do_not_depend_on_the_order_their_degrees_are_built():
+    for d, c in ((2, 5), (3, 4), (4, 4), (5, 3)):
+        grid = Grid(d, c)
+        degrees = range(grid.top_degree + 1)
+        high_first, ascending = _GridContext(grid), _GridContext(grid)
+        shuffled = random.Random(d * 10 + c).sample(degrees, len(degrees))
+        for t in [grid.top_degree, *shuffled]:
+            high_first.steps(t)
+        assert [high_first.steps(t) for t in degrees] == [ascending.steps(t) for t in degrees]
+
+
+def test_every_route_is_zero_where_the_primitive_vanishes():
+    # 2^(n+1) - 1 >= m: no odd strip fits, and every image converts to 0.
+    cells = 0
+    for n in range(4):
+        for d in range(8):
+            for c in range(8):
+                if 2 ** (n + 1) - 1 < d + c:
+                    continue
+                grid = Grid(d, c)
+                zero = GradedMap(2 ** (n + 1) - 1, {t: len(w) for t, w in schubert_basis(grid).items()})
+                assert derivation_qn_matrix(n, grid) == zero, (n, d, c)
+                assert lenart_qn_matrix(n, grid) == zero, (n, d, c)
+                assert per_term_derivation_matrix(n, grid) == zero, (n, d, c)
+                cells += 1
+    assert cells == 3 + 10 + 36 + 64
+
+
+@pytest.mark.parametrize("n, d, c", [(2, 3, 4), (3, 7, 7)])
+def test_a_zero_map_still_checks_its_basis_change(monkeypatch, n, d, c):
+    grid = Grid(d, c)
+    plant_basis_change_fault(monkeypatch, grid, 2, lambda monomials: monomials[0])
+    shift = 2 ** (n + 1) - 1
+    assert grid.m <= shift and 2 <= grid.top_degree - shift  # a zero map with a block at degree 2
+    with pytest.raises(RuntimeError, match=f"basis change at degree 2 of grid {d}x{c} is not unitriangular"):
+        derivation_qn_matrix(n, grid)
 
 
 def test_lenart_matrix_commutes_with_conjugation():
