@@ -4,17 +4,18 @@
 computations, so it groups them into tasks, the cells of a grid small enough
 for both routes as one task so that its context is built once, and runs the
 tasks longest first, serially or in forked workers that send their records
-back as JSON; a cell over the size cutoff never becomes a task.  ``verify``
-appends each finished record to a JSON-lines cache in that dispatch order;
-``table`` sorts its rows.  ``cofiber`` builds its twist in a worker of the
-same fork map while it builds the ideal.  Outputs use a fixed field order
-to stay byte-reproducible.
+back by ``marshal``; a cell over the size cutoff never becomes a task.
+``verify`` appends each finished record to a JSON-lines cache in that
+dispatch order; ``table`` sorts its rows.  ``cofiber`` builds its twist in a
+worker of the same fork map while it builds the ideal.  Outputs use a fixed
+field order to stay byte-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import os
 import select
 import sys
@@ -220,13 +221,11 @@ def cofiber_report(n: int, d: int, m: int) -> dict:
     check_cell(n, d, m, least_d=1)
     _check_size(d, m)
     check_codimension(Grid(d, m - d))
-    with _fork_map(_twist_json, [[(n, d, m)]], 1 if _usable_cpus() >= 2 else 0, "twist") as results:
+    with _fork_map(_twist, [[(n, d, m)]], 1 if _usable_cpus() >= 2 else 0, "twist") as results:
         sub_profile, delta, sub = cofiber_homology(n, d, m)
         [(tag, payload)] = next(results)
     if tag == "failed":
         raise RuntimeError(payload)
-    shift, spaces, blocks = payload
-    blocks = {t: tuple(int(col, 16) for col in cols) for t, cols in blocks}
     return {
         "n": n,
         "d": d,
@@ -236,22 +235,18 @@ def cofiber_report(n: int, d: int, m: int) -> dict:
         "predicted_cofiber": predicted_cofiber_k(n, d, m),
         "connecting_rank": delta,
         "predicted_delta_rank": predicted_delta_rank(n, d, m),
-        "twisted_match": GradedMap(shift, dict(spaces), blocks) == sub,
+        "twisted_match": GradedMap(*payload) == sub,
     }
 
 
-def _twist_json(cell: tuple[int, int, int]) -> tuple[str, list | str]:
-    """The cell's twist raised to the ideal's degrees as JSON data, or the message it raised.
-
-    Columns go as hex: Python caps int-to-decimal conversion at 4300 digits.
-    """
+def _twist(cell: tuple[int, int, int]) -> tuple[str, tuple | str]:
+    """The ``GradedMap`` arguments of the cell's twist in the ideal's degrees, or what it raised."""
     n, d, m = cell
     try:
         gm = twisted_complex(n, d, m).shifted(m - d)
     except Exception as exc:  # raised in the parent, as a worker cannot
         return "failed", str(exc)
-    blocks = [[t, [format(col, "x") for col in cols]] for t, cols in gm.blocks.items()]
-    return "ok", [gm.shift, [*gm.spaces.items()], blocks]
+    return "ok", (gm.shift, gm.spaces, gm.blocks)
 
 
 def load_cache(handle: BufferedIOBase) -> dict[tuple[int, int, int, str], ResultRecord]:
@@ -292,11 +287,11 @@ def _usable_cpus() -> int:
 Outcome = tuple[str, ResultRecord | str | None]
 
 
-def _sweep_cell(cell: tuple[int, int, int]) -> tuple[str, dict | str]:
-    """The cell's outcome, its record as a dict so that a worker can send it as JSON."""
+def _sweep_cell(cell: tuple[int, int, int]) -> tuple[str, tuple | str]:
+    """The cell's outcome, its record as a plain tuple so that a worker can send it."""
     n, d, m = cell
     try:
-        return "ok", compute_cell(n, d, m)._asdict()
+        return "ok", tuple(compute_cell(n, d, m))
     except Exception as exc:  # one failing cell must not end the sweep
         tag = "lower_bound" if isinstance(exc, LowerBoundViolation) else "failed"
         return tag, f"cell n={n} d={d} m={m}: {exc}"
@@ -309,13 +304,15 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
     With ``jobs`` 0, or where the platform cannot fork, the map runs in
     process, lazily: each result is computed as the caller takes it.  A
     worker reads task indices from its task pipe and sends each task's
-    results down its result pipe as one line of JSON, so ``fn`` returns
-    JSON data.  Tasks go out in order, each to whichever worker is free, and
-    the map yields an iterator that gives a task's decoded results once it
-    and every task before it are back; the caller works meanwhile.  A worker
-    that dies raises ``WorkerDied``, naming ``role`` and the first cell of
-    its task.  On exit every worker still holding a task is killed, and
-    every worker is reaped.
+    results down its result pipe by ``marshal``, as one bytes object holding
+    their encoding, which the parent reads in one call, not one per field;
+    so ``fn`` returns ints and strings in tuples, lists and dicts.  Tasks go
+    out in order, each to whichever worker is free, and the map yields an
+    iterator that gives a task's decoded results once it and every task
+    before it are back; the caller works meanwhile.  A worker that dies,
+    even partway through its results, raises ``WorkerDied``, naming ``role``
+    and the first cell of its task.  On exit every worker still holding a
+    task is killed, and every worker is reaped.
     """
     if jobs < 1 or not hasattr(os, "fork"):
         yield (map(fn, task) for task in tasks)
@@ -349,14 +346,14 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
             while index not in done:
                 for fd, _ in poller.poll():
                     worker = workers[fd]
-                    line = worker.reader.readline()
-                    if not line.endswith(b"\n"):  # the worker died
+                    try:
+                        done[worker.task] = marshal.loads(marshal.load(worker.reader))
+                    except EOFError:  # the worker died
                         n, d, m = tasks[worker.task][0]
                         status = reap(workers.pop(fd))
                         raise WorkerDied(
                             f"{role} worker died with exit status {status} on cell n={n} d={d} m={m}"
-                        )
-                    done[worker.task] = json.loads(line)
+                        ) from None
                     hand_out(worker)
                     if worker.task is None:
                         poller.unregister(fd)
@@ -373,8 +370,8 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
                     # open until exit: the parent sees end of file after any traceback
                     out = open(result_w, "wb")
                     while line := os.read(task_r, 32):  # empty at end of file
-                        out.write(json.dumps(list(map(fn, tasks[int(line)]))).encode() + b"\n")
-                        out.flush()  # JSON escapes line breaks
+                        marshal.dump(marshal.dumps(list(map(fn, tasks[int(line)]))), out)
+                        out.flush()
                     os._exit(0)
                 except BrokenPipeError:  # the parent is gone
                     pass
@@ -434,7 +431,7 @@ def _sweep(
     order = list(chain.from_iterable(tasks))
     with _fork_map(_sweep_cell, tasks, jobs if jobs > 1 and len(tasks) > 1 else 0, "sweep") as results:
         for cell, (tag, payload) in zip(order, chain.from_iterable(results)):
-            yield cell, (tag, ResultRecord.from_dict(payload) if tag == "ok" else payload)
+            yield cell, (tag, ResultRecord._make(payload) if tag == "ok" else payload)
 
 
 def verify_sweep(

@@ -131,8 +131,9 @@ class _GridContext:
         """Per monomial r = u + e_k of degree t, in order, ``free_operator_matrix``'s step.
 
         That is (i, mask, k, u's ``position``, u, e_k packed, r_k odd), k the
-        top generator (0 for r = 1): r's word is s_i plus the classes in mask,
-        of larger indices.  A degree is cached once all its steps are checked.
+        top generator (0 for r = 1), mask r's cached conversion: s_i, whose
+        column is still 0 when the mask is read, plus classes of larger
+        indices.  A degree is cached once all its steps are checked.
         """
         steps = self._steps.get(t)
         if steps is None:
@@ -146,7 +147,7 @@ class _GridContext:
                     )
                 k = (r.bit_length() - 1) // slot + 1
                 unit = units[k]
-                steps.append((i, b ^ 1 << i, k, position[r - unit], r - unit, unit, r & unit > 0))
+                steps.append((i, b, k, position[r - unit], r - unit, unit, r & unit > 0))
             self._steps[t] = steps
         return steps
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import marshal
 import math
 import os
 import random
@@ -713,6 +714,11 @@ def a_twist_with_a_wide_column(n, d, m):
     return GradedMap(1, {0: 1, 1: 1}, {0: (1 << 15001,)})
 
 
+def a_twist_wider_than_the_pipe(n, d, m):
+    # a 2^21-bit column: 256 KiB, four times a 64 KiB pipe buffer
+    return GradedMap(1, {0: 1, 1: 1}, {0: (1 << 2**21 - 1,)})
+
+
 @pytest.mark.parametrize(
     "twist, out, err",
     [
@@ -720,9 +726,10 @@ def a_twist_with_a_wide_column(n, d, m):
         (raise_in_the_twist, "", "grqn: cell n=1 d=3 m=7: planted twist failure at n=1 d=3 m=7\n"),
         (raise_a_bug_in_the_twist, "", "grqn: cell n=1 d=3 m=7: planted bug at n=1 d=3 m=7\n"),
         (a_twist_with_a_wide_column, '"twisted_match": false', ""),
+        (a_twist_wider_than_the_pipe, '"twisted_match": false', ""),
         (a_twist_without_alpha, '"twisted_match": false', ""),
     ],
-    ids=["another basis", "failed check", "other exception", "wide column", "no alpha"],
+    ids=["another basis", "failed check", "other exception", "wide column", "over a pipe", "no alpha"],
 )
 def test_a_forked_twist_fails_as_the_serial_one_does(monkeypatch, capsys, twist, out, err):
     monkeypatch.setattr(cli, "twisted_complex", twist)  # before the worker forks
@@ -967,7 +974,7 @@ def test_main_table_empty_range_is_an_error(capsys, bounds):
 class RecordingForkMap:
     """Stands in for the fork map: records its worker counts (0 in process) and tasks, maps in process.
 
-    Each task's results go through JSON, as they do from a worker.
+    Each task's results go through ``marshal``, as they do from a worker.
     """
 
     def __init__(self, monkeypatch):
@@ -978,7 +985,7 @@ class RecordingForkMap:
     def __call__(self, fn, tasks, jobs, role):
         self.jobs.append(jobs)
         self.tasks.extend(tasks)
-        return contextlib.nullcontext(json.loads(json.dumps([*map(fn, task)])) for task in tasks)
+        return contextlib.nullcontext(marshal.loads(marshal.dumps([*map(fn, task)])) for task in tasks)
 
 
 def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
@@ -1091,13 +1098,42 @@ def test_a_dead_worker_is_a_clean_error_and_leaves_no_child(tmp_path, monkeypatc
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_worker_that_dies_partway_through_its_results_is_a_clean_error(tmp_path, monkeypatch, capsys):
+    cache = str(tmp_path / "c.jsonl")
+    dump = marshal.dump
+    sent = []
+
+    def die_halfway_through_the_second(value, out):
+        sent.append(value)  # in the worker's own copy of the list
+        if len(sent) < 2:
+            return dump(value, out)
+        data = marshal.dumps(value)
+        out.write(data[: len(data) // 2])
+        out.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(marshal, "dump", die_halfway_through_the_second)  # before the workers fork
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["verify", "--n", "1", "--d", "1", "--c", "1..5", "--jobs", "2", "--cache", cache]
+    assert main(argv) == 1  # neither EOFError nor ValueError escapes
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # each worker sends its first task (m=6, m=5) whole and dies halfway through its second
+    assert re.fullmatch(r"grqn: sweep worker died with exit status 3 on cell n=1 d=1 m=[34]\n", captured.err)
+    kept = [json.loads(line)["m"] for line in read_lines(cache)]
+    assert kept == [6, 5][: len(kept)]
+    assert Path(cache).read_text().count("\n") == len(kept) == len(load_cache_at(cache))
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_worker_that_raises_prints_its_traceback_then_dies_with_status_1(tmp_path):
     # In a fresh process: a forked worker's stderr is the process's own, which capsys cannot see.
     statement = "\n".join([
         "import sys",
         "from grqn import cli",
         "real = cli._sweep_cell",
-        "cli._sweep_cell = lambda cell: {1} if cell == (1, 2, 4) else real(cell)",
+        "cli._sweep_cell = lambda cell: object() if cell == (1, 2, 4) else real(cell)",
         "cli._usable_cpus = lambda: 2",
         "sys.exit(cli.main(sys.argv[1:]))",
     ])
@@ -1110,7 +1146,7 @@ def test_a_worker_that_raises_prints_its_traceback_then_dies_with_status_1(tmp_p
         )
         assert done.returncode == 1
         assert done.stdout == ""
-        traceback, died = done.stderr.split("TypeError: Object of type set is not JSON serializable\n")
+        traceback, died = done.stderr.split("ValueError: unmarshallable object\n")
         assert traceback.startswith("Traceback (most recent call last):\n")
         assert died == "grqn: sweep worker died with exit status 1 on cell n=1 d=2 m=4\n"
 

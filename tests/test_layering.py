@@ -101,6 +101,44 @@ def test_only_the_fork_map_forks():
     assert found == {"cli._fork_map"}
 
 
+def hand_codec(tree):
+    """The JSON names, hex formats and hex parses in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "json":
+            yield ast.unparse(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            args = [*node.args, *(kw.value for kw in node.keywords)]
+            given = [arg.value for arg in args if isinstance(arg, ast.Constant)]
+            hex_format = node.func.id == "format" and any("x" in str(c) for c in given)
+            if hex_format or node.func.id == "int" and 16 in given:
+                yield ast.unparse(node)
+
+
+def test_only_the_fork_map_knows_the_pipe_codec():
+    # A worker's results cross the pipe as themselves, in one codec that only
+    # the fork map names, so neither the map nor its callers encode by hand.
+    found = {
+        f"{name}.{enclosing(node).split('.')[0]}"  # the map's own nested functions count as it
+        for name, path in MODULES.items()
+        for node in references(parsed(path), "marshal")
+    }
+    assert found == {"cli._fork_map"}
+    importers = [
+        name for name, path in MODULES.items() for _, module in absolute_imports(path) if module == "marshal"
+    ]
+    assert importers == ["cli"]
+    sample = ast.parse('json.dumps([format(c, "x") for c in cols]) and int(col, 16)')
+    assert len(list(hand_codec(sample))) == 3  # the scan works
+    functions = {
+        node.name: node
+        for node in ast.walk(parsed(MODULES["cli"]))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_fork_map", "_sweep_cell", "_twist")
+    }
+    assert len(functions) == 3
+    found = {name: list(hand_codec(node)) for name, node in functions.items()}
+    assert found == dict.fromkeys(functions, []), found
+
+
 def test_homology_imports_nothing_from_the_package():
     graph = import_graph()
     assert graph["homology"] == set()
