@@ -11,7 +11,7 @@ objects, so a wrapper installed on a module attribute sees every call.
 from __future__ import annotations
 
 from . import homology, schubert, steenrod
-from .formulas import InvalidCell
+from .formulas import InvalidCell, check_cell
 from .homology import GradedMap, HomologyProfile
 from .schubert import Grid
 
@@ -53,6 +53,7 @@ def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int, Grad
     such a bit, and the bug with it.  The rank is recovered from exactness:
     twice the rank is the homology excess of the two pieces over the whole.
     """
+    check_cell(n, d, m, least_d=1)
     grid = Grid(d, m - d)
     check_codimension(grid)
     full, cut = schubert.lenart_qn_matrix(n, grid), _ideal_cut(grid)

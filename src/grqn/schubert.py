@@ -15,7 +15,7 @@ in its degree, the bit it sets in a column, as a word fixes its degree.
 The monomial of lam is e_(lam') = s_lam plus Schubert classes of smaller
 words (Macdonald I.6), so each degree's basis change is unitriangular and
 the Wu route solves it by forward substitution.
-Per-grid state (both bases, their dimensions and places, Pieri blocks,
+Per-grid state (the words, their dimensions and indices, Pieri blocks,
 conversions and each degree's Leibniz steps, shared by every n) is kept
 for the last grid used only, as every command uses its grids one after
 another; all cached values are deterministic, so concurrent use cannot
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import steenrod
 from .homology import GradedMap, column_product
@@ -63,6 +63,8 @@ class Grid(namedtuple("Grid", "d c")):
 class _GridContext:
     """Basis tables and bit-packed multiplication data for one grid.
 
+    Each degree has one numbering, the words' ``index``: a basis monomial
+    is named by its word, and ``steps`` alone reads it off the word.
     Monomials are packed ``Grid.slot`` bits per generator.  The slot holds
     the top degree, and no exponent of a monomial exceeds its degree, so
     every monomial of degree at most the top degree packs without carry.
@@ -128,52 +130,36 @@ class _GridContext:
         return self.product(self._convert, u, t)
 
     def steps(self, t: int) -> list[tuple[int, int, int, int, int, int, bool]]:
-        """Per monomial r = u + e_k of degree t, in order, ``free_operator_matrix``'s step.
+        """Per word of degree t, in ascending order, ``free_operator_matrix``'s step.
 
-        That is (i, mask, k, u's ``position``, u, e_k packed, r_k odd), k the
-        top generator (0 for r = 1), mask r's cached conversion: s_i, whose
-        column is still 0 when the mask is read, plus classes of larger
-        indices.  A degree is cached once all its steps are checked.
+        The word of lam gives the monomial r = w_1^(lam_1 - lam_2)..w_d^(lam_d):
+        r_j counts the empty slots between beads j - 1 and j (from the top,
+        from 0), and r_d is the lowest bead's slot.  This is a bijection onto
+        the monomials with at most c factors.  With k the top generator, lam's
+        length (0 for r = 1), the cofactor u = r - e_k is lam less its first
+        column: the top k beads each move down one slot.  The step is
+        (i, mask, k, u's word's ``index``, u, e_k packed, r_k odd), mask r's
+        cached conversion: s_i, whose column is still 0 when the mask is read,
+        plus classes of larger indices, all solved before it in ascending
+        word order.  A degree is cached once all its steps are checked.
         """
         steps = self._steps.get(t)
         if steps is None:
-            grid, slot, position, steps = self.grid, self.slot, self.position, []
-            units = [0] + [1 << slot * j for j in range(grid.d)]
-            for i, r in zip(reversed(range(self.spaces[t])), self.monomials[t]):
+            d, slot, index, steps = self.grid.d, self.slot, self.index, []
+            units = [0] + [1 << slot * j for j in range(d)]
+            for i, w in reversed([*enumerate(self.basis[t])]):
+                beads = [*bits(w), -1]
+                r = sum(beads[j] - beads[j + 1] - 1 << slot * j for j in range(d))
                 b = self.convert(r, t)
                 if b & (2 << i) - 1 != 1 << i:
                     raise RuntimeError(
-                        f"basis change at degree {t} of grid {grid.d}x{grid.c} is not unitriangular"
+                        f"basis change at degree {t} of grid {d}x{self.grid.c} is not unitriangular"
                     )
                 k = (r.bit_length() - 1) // slot + 1
-                unit = units[k]
-                steps.append((i, b, k, position[r - unit], r - unit, unit, r & unit > 0))
+                unit, low = units[k], (1 << d - k) - 1
+                steps.append((i, b, k, index[w & low | (w & ~low) >> 1], r - unit, unit, r & unit > 0))
             self._steps[t] = steps
         return steps
-
-    @cached_property
-    def monomials(self) -> dict[int, list[int]]:
-        """Packed monomial basis by degree, one per word, in ascending word order.
-
-        The word of lam gives w_1^(lam_1 - lam_2)..w_d^(lam_d): r_j counts the
-        empty slots between beads j - 1 and j (from the top, from 0), and r_d
-        is the lowest bead's slot.  This is a bijection onto the monomials with
-        at most c factors.  The order is the reverse of ``basis``, so a
-        monomial's lower Schubert terms, all of smaller words, come before it:
-        ``free_operator_matrix`` relies on that to solve by substitution.
-        """
-        d, slot = self.grid.d, self.slot
-
-        def monomial(w: int) -> int:
-            beads = [*bits(w), -1]
-            return sum(beads[j] - beads[j + 1] - 1 << slot * j for j in range(d))
-
-        return {t: [monomial(w) for w in reversed(words)] for t, words in self.basis.items()}
-
-    @cached_property
-    def position(self) -> dict[int, int]:
-        """Each packed monomial's place in its degree of ``monomials``, as ``index`` is for words."""
-        return {r: p for monomials in self.monomials.values() for p, r in enumerate(monomials)}
 
 
 @lru_cache(maxsize=1)
@@ -232,14 +218,14 @@ def free_operator_matrix(
     if not any(bases):
         return GradedMap(shift, ctx.spaces)
     chains = {k: {shift + k: {0: base}} for k, base in enumerate(bases) if k}
-    # by degree and position of r: (T(w^r), w^(r - e_k) D(w_k) for odd r_k, else 0)
+    # by degree and word index of r: (T(w^r), w^(r - e_k) D(w_k) for odd r_k, else 0)
     image: dict[int, list[tuple[int, int]]] = {}
     blocks: dict[int, tuple[int, ...]] = {}
     for t, degree in enumerate(steps):
         s = t + shift
         pieri = {k: ctx.pieri_block(k, s - k) for k in {step[2] for step in degree} - {0}}
         cols = [0] * len(degree)
-        done = image[t] = []
+        done = image[t] = [(0, 0)] * len(degree)
         for i, mask, k, p, u, unit, odd in degree:
             out, term = bases[0], 0
             if k:
@@ -247,7 +233,7 @@ def free_operator_matrix(
                 if odd and k in chains:
                     term = ctx.product(chains[k], u, s, unit)
                 out = column_product(pieri[k], low if odd else low ^ below) ^ term
-            done.append((out, term))
+            done[i] = (out, term)
             cols[i] = out ^ column_product(cols, mask)
         blocks[t] = tuple(cols)
         image.pop(t - grid.d, None)

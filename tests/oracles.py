@@ -764,6 +764,18 @@ def derivation_image(n: int, grid: Grid) -> Callable[[int], list[int]]:
     return image
 
 
+def monomial_basis(grid: Grid) -> dict[int, list[int]]:
+    """The packed monomial basis by degree, one per grid partition, in ascending word order.
+
+    lam gives w_1^(lam_1 - lam_2)..w_d^(lam_d), read off the partition tuple.
+    """
+    d, basis = grid.d, {}
+    for t, words in partitions_in_grid(d, grid.c).items():
+        lams = [(*partition(w, d), *[0] * (d + 1)) for w in sorted(words)]
+        basis[t] = [pack(tuple(lam[j] - lam[j + 1] for j in range(d)), grid.slot) for lam in lams]
+    return basis
+
+
 def per_term_operator_matrix(
     grid: Grid, shift: int, image: Callable[[int], Iterable[int]]
 ) -> GradedMap:
@@ -772,18 +784,18 @@ def per_term_operator_matrix(
     ``image`` maps a packed basis monomial of degree t to the packed terms of
     its value, all of degree t + shift, with multiplicity.
     """
-    ctx = _context(grid)
+    ctx, monomials = _context(grid), monomial_basis(grid)
     spaces = {t: len(words) for t, words in ctx.basis.items()}
     blocks: dict[int, tuple[int, ...]] = {}
     for t in range(grid.top_degree - shift + 1):
         s = t + shift
         c_cols = []
-        for r in ctx.monomials[t]:
+        for r in monomials[t]:
             out = 0
             for u in image(r):
                 out ^= ctx.convert(u, s)
             c_cols.append(out)
-        inverse = invert([ctx.convert(r, t) for r in ctx.monomials[t]])
+        inverse = invert([ctx.convert(r, t) for r in monomials[t]])
         blocks[t] = tuple(column_product(c_cols, x) for x in inverse)
     return GradedMap(shift, spaces, blocks)
 

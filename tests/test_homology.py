@@ -190,6 +190,8 @@ def test_connecting_rank_examples():
     assert cofiber_homology(2, 3, 7)[1] == 0  # collapse range
     with pytest.raises(InvalidCell):
         cofiber_homology(1, 2, 2)
+    with pytest.raises(InvalidCell):
+        cofiber_homology(1, 0, 3)
 
 
 def test_an_odd_exactness_defect_is_a_parity_violation(monkeypatch):

@@ -265,6 +265,12 @@ def test_only_the_lenart_route_walks_ribbons():
         assert seen == defs
 
 
+def test_only_the_leibniz_steps_read_a_monomial_off_a_word():
+    # One reader of the word-to-monomial rule: the bead loop in ``steps``.
+    found = {enclosing(node) for node in references(parsed(MODULES["schubert"]), "bits")}
+    assert found == {"_GridContext.steps"}
+
+
 def self_calls(tree):
     """Dotted names of the functions that call themselves by name."""
     for node in ast.walk(tree):

@@ -29,6 +29,7 @@ from oracles import (
     grid_partitions,
     invert,
     is_zero,
+    monomial_basis,
     monomial_degree,
     pack,
     partition,
@@ -208,10 +209,10 @@ def test_basis_change_is_invertible():
     for d in range(8):
         for c in range(8):
             g = Grid(d, c)
-            ctx = _context(g)
+            ctx, monomials = _context(g), monomial_basis(g)
             total = 0
             for t, lams in schubert_basis(g).items():
-                cols = [ctx.convert(u, t) for u in ctx.monomials[t]]
+                cols = [ctx.convert(u, t) for u in monomials[t]]
                 assert len(cols) == len(lams)
                 assert len(_echelon(cols)) == len(lams)
                 # unitriangular: in ascending word order, the monomial of the
@@ -225,13 +226,13 @@ def test_basis_change_is_invertible():
 
 
 def plant_basis_change_fault(monkeypatch, grid, degree, pick):
-    """Flip bit 0, the largest word, in the conversion of ``pick(monomials[degree])``.
+    """Flip bit 0, the largest word, in the conversion of ``pick(monomial_basis(grid)[degree])``.
 
     The grid context is cleared first, so the steps of every degree are
     built, and checked, under the plant, whichever test built them before.
     """
     _context.cache_clear()
-    planted_u = pick(_context(grid).monomials[degree])
+    planted_u = pick(monomial_basis(grid)[degree])
     real = _GridContext.convert
 
     def planted(self, u, t):
@@ -261,7 +262,7 @@ def test_a_step_build_that_raises_caches_nothing(monkeypatch, capsys):
     # the degree's other steps are built before its build raises.
     grid, degree = Grid(3, 3), 3
     plant_basis_change_fault(monkeypatch, grid, degree, lambda monomials: monomials[-1])
-    assert len(_context(grid).monomials[degree]) == 3
+    assert len(monomial_basis(grid)[degree]) == 3
     for _ in range(2):
         with pytest.raises(RuntimeError, match="basis change at degree 3 of grid 3x3"):
             derivation_qn_matrix(1, grid)
@@ -272,24 +273,36 @@ def test_a_step_build_that_raises_caches_nothing(monkeypatch, capsys):
 
 
 def test_monomials_are_the_exponents_with_at_most_c_factors():
-    # Each monomial is a multiset of at most c generators w_1..w_d.
+    # Each monomial is a multiset of at most c generators w_1..w_d, and the
+    # Leibniz steps read the same monomial off each word.
     for d in range(8):
         for c in range(8):
             grid = Grid(d, c)
-            ctx = _context(grid)
+            ctx, monomials = _context(grid), monomial_basis(grid)
             expected = {}
             for k in range(c + 1):
                 for gens in combinations_with_replacement(range(1, d + 1), k):
                     r = tuple(gens.count(j) for j in range(1, d + 1))
                     expected.setdefault(sum(gens), []).append(pack(r, grid.slot))
-            assert set(expected) == set(ctx.monomials)
-            for t, monos in ctx.monomials.items():
+            assert set(expected) == set(monomials)
+            for t, monos in monomials.items():
                 assert len(set(monos)) == len(monos)
                 assert sorted(monos) == sorted(expected[t])
                 # lam gives w_1^(lam_1 - lam_2)..w_d^(lam_d), in ascending word order
                 lams = [(*partition(w, d), *[0] * (d + 1)) for w in reversed(ctx.basis[t])]
                 r = [tuple(lam[j] - lam[j + 1] for j in range(d)) for lam in lams]
                 assert monos == [pack(e, grid.slot) for e in r]
+                # step i is word i's monomial u + e_k, k its partition's length,
+                # and its cofactor index names the partition less its first column
+                steps = ctx.steps(t)
+                assert [step[0] for step in steps] == list(reversed(range(len(monos))))
+                for (i, _, k, p, u, unit, odd), mono in zip(steps, monos):
+                    lam = partition(ctx.basis[t][i], d)
+                    assert u + unit == mono, (d, c, t, i)
+                    assert k == len(lam), (d, c, t, i)
+                    assert unit == pack(tuple(int(j == k) for j in range(1, d + 1)), grid.slot)
+                    assert odd == bool(k and lam[k - 1] % 2)  # r_k = lam_k
+                    assert ctx.basis[t - k][p] == word(tuple(part - 1 for part in lam if part > 1), d)
 
 
 def test_dual_classes_die_in_the_quotient():
