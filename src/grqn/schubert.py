@@ -134,22 +134,30 @@ class _GridContext:
 
         The word of lam gives the monomial r = w_1^(lam_1 - lam_2)..w_d^(lam_d):
         r_j counts the empty slots between beads j - 1 and j (from the top,
-        from 0), and r_d is the lowest bead's slot.  This is a bijection onto
-        the monomials with at most c factors.  With k the top generator, lam's
-        length (0 for r = 1), the cofactor u = r - e_k is lam less its first
-        column: the top k beads each move down one slot.  The step is
-        (i, mask, k, u's word's ``index``, u, e_k packed, r_k odd), mask r's
-        cached conversion: s_i, whose column is still 0 when the mask is read,
-        plus classes of larger indices, all solved before it in ascending
-        word order.  A degree is cached once all its steps are checked.
+        from 0), and r_d is the lowest bead's slot: with bead j's slot packed
+        as exponent j + 1, r is that less itself shifted one exponent down,
+        less 1 in every exponent but r_d.  A slot fits in an exponent as
+        d + c - 1 <= dc when c >= 1; c = 0 has one word, r = 1.  This is a
+        bijection onto the monomials with at most c factors.  With k the top
+        generator, lam's length (0 for r = 1), the cofactor u = r - e_k is
+        lam less its first column: the top k beads each move down one slot.
+        The step is (i, mask, k, u's word's ``index``, u, e_k packed, r_k
+        odd), mask r's cached conversion: s_i, whose column is still 0 when
+        the mask is read, plus classes of larger indices, all solved before
+        it in ascending word order.  A degree is cached once all its steps
+        are checked.
         """
         steps = self._steps.get(t)
         if steps is None:
             d, slot, index, steps = self.grid.d, self.slot, self.index, []
             units = [0] + [1 << slot * j for j in range(d)]
+            ones = sum(units[1:d])
             for i, w in reversed([*enumerate(self.basis[t])]):
-                beads = [*bits(w), -1]
-                r = sum(beads[j] - beads[j + 1] - 1 << slot * j for j in range(d))
+                packed = at = 0
+                for p in bits(w):
+                    packed |= p << at
+                    at += slot
+                r = packed - (packed >> slot) - ones if self.grid.c else 0
                 b = self.convert(r, t)
                 if b & (2 << i) - 1 != 1 << i:
                     raise RuntimeError(

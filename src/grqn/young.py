@@ -84,17 +84,20 @@ def lenart_strips(w: int, k: int, d: int, m: int) -> list[int]:
     """
     if k >= m:
         return []
-    # moves[s]: the beads whose slot s higher is empty and inside the word;
-    # each loop takes the set bits of a mask from the highest down
-    moves = [w & ~(w >> s) & (1 << m - s) - 1 for s in range(k + 1)]
-    between, out, x = (1 << k - 1) - 1, [], moves[k]
+    # w & free >> s: the beads whose slot s higher is empty and inside the
+    # word; each loop takes the set bits of such a mask from the highest down
+    free = ~w & (1 << m) - 1
+    between, out, x = (1 << k - 1) - 1, [], w & free >> k
     while x:
         x ^= 1 << (p := x.bit_length() - 1)
         if p + d + 1 + (w >> p + 1 & between).bit_count() & 1:
             out.append(w ^ (1 | 1 << k) << p)
     for k1 in range(1, k):
-        lower, jump, k2 = moves[k1], 1 | 1 << k1, k - k1
-        x = moves[k2] >> k1 + 1 << k1 + 1 if lower else 0  # p2 > k1 leaves room below
+        lower = w & free >> k1
+        if not lower:
+            continue
+        jump, k2 = 1 | 1 << k1, k - k1
+        x = (w & free >> k2) >> k1 + 1 << k1 + 1  # p2 > k1 leaves room below
         while x:
             x ^= 1 << (p2 := x.bit_length() - 1)
             upper, y = w ^ (1 | 1 << k2) << p2, lower & (1 << p2 - k1) - 1

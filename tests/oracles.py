@@ -3,8 +3,9 @@
 The strip rule here is the generate-and-filter form: every grid partition
 above lam at the right distance, each tested span by span.  The library's
 ``lenart_strips`` walks the odd-coefficient strips directly instead.  The
-skew-shape layer, the dense rank, the kernel and inverse of bit matrices
-and the total square serve only as oracles and test helpers; the library
+skew-shape layer, the dense rank, the kernel and inverse of bit matrices,
+the per-bit column product, homology ranked without pivot-skip and the
+total square serve only as oracles and test helpers; the library
 itself works on bit-packed vectors and on bead words, and
 ``word``/``partition`` translate between a bead word and the partition
 tuple the oracles use.
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 from grqn import schubert, steenrod
 from grqn.cofiber import _ideal_cut, check_codimension
 from grqn.formulas import InvalidCell, _binomial_sum, _comb
-from grqn.homology import GradedMap, _echelon, column_product
+from grqn.homology import GradedMap, HomologyProfile, _echelon, column_product
 from grqn.schubert import Grid, _context
 from grqn.young import bits, partitions_in_grid
 
@@ -864,6 +865,26 @@ def rank(matrix: Sequence[Sequence[int]]) -> int:
                 bits |= 1 << j
         packed.append(bits)
     return len(_echelon(packed))
+
+
+def bitwise_product(cols: Sequence[int], mask: int) -> int:
+    """The image of ``mask`` under the columns ``cols``, one bit position at a time."""
+    out = 0
+    for i in range(mask.bit_length()):
+        if mask >> i & 1:
+            out ^= cols[i]
+    return out
+
+
+def plain_homology(gm: GradedMap) -> HomologyProfile:
+    """Homology dimensions with every block ranked on all its columns."""
+    ranks = {t: len(_echelon(cols)) for t, cols in gm.blocks.items()}
+    per_degree = {}
+    for t, n in gm.spaces.items():
+        h = n - ranks.get(t, 0) - ranks.get(t - gm.shift, 0)
+        if h:
+            per_degree[t] = h
+    return HomologyProfile(per_degree, sum(per_degree.values()))
 
 
 def total_sq(p: Polynomial) -> Polynomial:

@@ -494,6 +494,15 @@ def test_a_second_n_shares_the_grids_steps():
             assert twisted_complex(n, grid.d + 1, grid.m + 1) == fresh[n][1], n
 
 
+def test_a_grid_with_no_columns_has_one_step_of_the_unit_monomial():
+    # With c = 0 the d beads fill slots 0..d-1, and a slot needs more bits
+    # than the exponent holds once d > 2; the one word's monomial is 1.
+    for d in range(10):
+        grid = Grid(d, 0)
+        assert schubert_basis(grid) == {0: [(1 << d) - 1]}
+        assert _GridContext(grid).steps(0) == [(0, 1, 0, 0, 0, 0, False)], d
+
+
 def test_steps_do_not_depend_on_the_order_their_degrees_are_built():
     for d, c in ((2, 5), (3, 4), (4, 4), (5, 3)):
         grid = Grid(d, c)
