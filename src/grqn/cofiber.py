@@ -37,8 +37,8 @@ def twisted_complex(n: int, d: int, m: int) -> GradedMap:
     T is built as Q_n is, from T(1) = a, which the map needs only when it
     has a block (where a packs exactly).
     """
-    if d < 1 or m < d + 1:
-        raise InvalidCell(f"twisted complex needs d >= 1 and m > d, got d={d} m={m}")
+    check_cell(n, d, m, least_d=1)
+    check_codimension(Grid(d, m - d))
     shift = 2 ** (n + 1) - 1
     grid = Grid(d - 1, m - d)
     a = steenrod.power_sums(grid.d, grid.slot, shift)[shift] if shift <= grid.top_degree else ()

@@ -14,7 +14,8 @@ with one w_j per column of length j.  One dict gives every word its place
 in its degree, the bit it sets in a column, as a word fixes its degree.
 The monomial of lam is e_(lam') = s_lam plus Schubert classes of smaller
 words (Macdonald I.6), so each degree's basis change is unitriangular and
-the Wu route solves it by forward substitution.
+the Wu route solves it by forward substitution, with conversion the one
+peel walk: each Leibniz step reads its term off a stored one by one Pieri product.
 Per-grid state (the words, their dimensions and indices, Pieri blocks,
 conversions and each degree's Leibniz steps, shared by every n) is kept
 for the last grid used only, as every command uses its grids one after
@@ -99,35 +100,25 @@ class _GridContext:
             blocks = self._pieri[t] = list(zip(*rows)) or [()] * (d + 1)
         return blocks[j]
 
-    def product(self, chain: dict[int, dict[int, int]], u: int, t: int, last: int = 0) -> int:
-        """Bitmask of w^u times the chain's base, a product of degree t.
+    def convert(self, u: int, t: int) -> int:
+        """Bitmask of the Schubert expansion of the degree-t packed monomial u.
 
-        ``chain`` caches products by degree, each bucket by cofactor; it
-        starts as ``{t0: {0: base}}``, with ``base`` the mask of a class of
-        degree t0.  Zero when the product dies in the quotient.  Peels the
-        top generator down to a cofactor already cached, then multiplies
-        back up one Pieri block at a time, caching every prefix on the way.
-        ``last`` is the packed unit of a generator to peel only when no
-        other is left, or 0.
+        Zero when u dies in the quotient.  Peels the top generator down to a
+        monomial already converted, then multiplies back up one Pieri block
+        at a time, caching every prefix on the way.
         """
         if t > self.top_degree:
             return 0
-        slot = self.slot
-        rest = ~(last * ((1 << slot) - 1))
+        slot, cache = self.slot, self._convert
         peeled = []
-        while (out := chain.setdefault(t, {}).get(u)) is None:
-            j = ((u & rest or u).bit_length() - 1) // slot + 1
+        while (out := cache.setdefault(t, {}).get(u)) is None:
+            j = (u.bit_length() - 1) // slot + 1
             peeled.append((u, j, t))
             u -= 1 << slot * (j - 1)
             t -= j
         for v, j, s in reversed(peeled):
-            out = column_product(self.pieri_block(j, s - j), out)
-            chain[s][v] = out
+            out = cache[s][v] = column_product(self.pieri_block(j, s - j), out)
         return out
-
-    def convert(self, u: int, t: int) -> int:
-        """Bitmask of the Schubert expansion of the degree-t packed monomial u."""
-        return self.product(self._convert, u, t)
 
     def steps(self, t: int) -> list[tuple[int, int, int, int, int, int, bool]]:
         """Per word of degree t, in ascending order, ``free_operator_matrix``'s step.
@@ -138,20 +129,22 @@ class _GridContext:
         as exponent j + 1, r is that less itself shifted one exponent down,
         less 1 in every exponent but r_d.  A slot fits in an exponent as
         d + c - 1 <= dc when c >= 1; c = 0 has one word, r = 1.  This is a
-        bijection onto the monomials with at most c factors.  With k the top
-        generator, lam's length (0 for r = 1), the cofactor u = r - e_k is
-        lam less its first column: the top k beads each move down one slot.
-        The step is (i, mask, k, u's word's ``index``, u, e_k packed, r_k
-        odd), mask r's cached conversion: s_i, whose column is still 0 when
-        the mask is read, plus classes of larger indices, all solved before
-        it in ascending word order.  A degree is cached once all its steps
-        are checked.
+        bijection onto the monomials with at most c factors.  r - e_g is lam
+        less a column of length g: its top g beads move down one slot.  With
+        k the top generator, lam's length (0 for r = 1), the cofactor is
+        u = r - e_k, and the source of r's term w^u D(w_k) is r - e_j: j is 0
+        where the term is D(w_k) or is not read (r_k even, u not a power of
+        w_k), else u's top generator below k, or k.  The step is (i, mask, k,
+        j, u's word's ``index``, the source's, r_k odd), mask r's cached
+        conversion: s_i, whose column is still 0 when the mask is read, plus
+        classes of larger indices, all solved before it in ascending word
+        order.  A degree is cached once all its steps are checked.
         """
         steps = self._steps.get(t)
         if steps is None:
             d, slot, index, steps = self.grid.d, self.slot, self.index, []
             units = [0] + [1 << slot * j for j in range(d)]
-            ones = sum(units[1:d])
+            ones, full = sum(units[1:d]), (1 << slot) - 1
             for i, w in reversed([*enumerate(self.basis[t])]):
                 packed = at = 0
                 for p in bits(w):
@@ -163,9 +156,17 @@ class _GridContext:
                     raise RuntimeError(
                         f"basis change at degree {t} of grid {d}x{self.grid.c} is not unitriangular"
                     )
-                k = (r.bit_length() - 1) // slot + 1
-                unit, low = units[k], (1 << d - k) - 1
-                steps.append((i, b, k, index[w & low | (w & ~low) >> 1], r - unit, unit, r & unit > 0))
+                k = (r.bit_length() + slot - 1) // slot
+                odd, rest = r & units[k] > 0, r & units[k] - 1
+                j = (rest.bit_length() + slot - 1) // slot * odd if rest else k * (r > units[k])
+                p = q = 0  # lam less a column of length k, j: bits above ``low`` move down
+                if k:
+                    low = (1 << d - k) - 1
+                    p = index[w & low | (w & ~low) >> 1]
+                if j:
+                    low = (1 << (packed >> slot * (j - 1) & full)) - 1
+                    q = index[w & low | (w & ~low) >> 1]
+                steps.append((i, b, k, j, p, q, odd))
             self._steps[t] = steps
         return steps
 
@@ -206,48 +207,46 @@ def free_operator_matrix(
     T(w_k x) = w_k T(x) + x D(w_k), so with k the top generator of a basis
     monomial r = u + e_k, T(w^r) = P_k T(w^u) + w^u D(w_k) for odd r_k and,
     as D(w_k^2) = 0, P_k (T(w^u) + w^(u - e_k) D(w_k)) for even r_k, whose
-    last term was kept when w^u was built.  Each D(w_k) is converted once;
-    w^u D(w_k) comes from it by the Pieri chain walk, peeling w_k last, so
-    a cofactor's prefix is a smaller monomial's cofactor at most d degrees
-    below, and older images and buckets are dropped.  Forward substitution
+    last term was kept when w^u was built.  Each D(w_k) is converted once,
+    and the term X(r) = w^u D(w_k) is P_j X(r - e_j), X(e_k) = D(w_k), with
+    the source r - e_j named by the step: its X is stored, as it has r_k
+    odd or is a power of w_k, and it lies at most d degrees below, so
+    older images and terms are dropped.  Forward substitution
     then solves the basis change: the monomial of the word at index i is
     s_i plus classes at larger indices, solved before it in ascending word
     order.  ``steps`` holds what of this T does not change.  A basis change
     that is not unitriangular is a ``RuntimeError``, even if the map is 0.
     """
     ctx = _context(grid)
-    bases = []
+    bases = [0] * (grid.d + 1)
     for k, poly in enumerate([one, *images]):
-        base = 0
         for v in poly:
-            base ^= ctx.convert(v, shift + k)
-        bases.append(base)
+            bases[k] ^= ctx.convert(v, shift + k)
     steps = [ctx.steps(t) for t in range(grid.top_degree - shift + 1)]
     if not any(bases):
         return GradedMap(shift, ctx.spaces)
-    chains = {k: {shift + k: {0: base}} for k, base in enumerate(bases) if k}
-    # by degree and word index of r: (T(w^r), w^(r - e_k) D(w_k) for odd r_k, else 0)
+    # by degree and word index of r: (T(w^r), w^(r - e_k) D(w_k) where a step reads it, else 0)
     image: dict[int, list[tuple[int, int]]] = {}
     blocks: dict[int, tuple[int, ...]] = {}
     for t, degree in enumerate(steps):
         s = t + shift
-        pieri = {k: ctx.pieri_block(k, s - k) for k in {step[2] for step in degree} - {0}}
+        gens = {g for step in degree for g in step[2:4]} - {0}  # each k and j
+        pieri = {g: ctx.pieri_block(g, s - g) for g in gens}
         cols = [0] * len(degree)
         done = image[t] = [(0, 0)] * len(degree)
-        for i, mask, k, p, u, unit, odd in degree:
+        for i, mask, k, j, p, q, odd in degree:
             out, term = bases[0], 0
             if k:
                 low, below = image[t - k][p]
-                if odd and k in chains:
-                    term = ctx.product(chains[k], u, s, unit)
-                out = column_product(pieri[k], low if odd else low ^ below) ^ term
+                if j:
+                    term = column_product(pieri[j], image[t - j][q][1])
+                elif odd:
+                    term = bases[k]
+                out = column_product(pieri[k], low if odd else low ^ below) ^ (term if odd else 0)
             done[i] = (out, term)
             cols[i] = out ^ column_product(cols, mask)
         blocks[t] = tuple(cols)
         image.pop(t - grid.d, None)
-        for k, chain in chains.items():
-            for old in [old for old in chain if shift + k < old <= s - grid.d]:
-                del chain[old]
     return GradedMap(shift, ctx.spaces, blocks)
 
 

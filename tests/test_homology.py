@@ -184,8 +184,13 @@ def test_cofiber_homology_returns_the_ideal_subcomplex():
 
 
 def test_twisted_complex_rejects_bad_sizes():
-    with pytest.raises(InvalidCell, match="twisted complex needs d >= 1 and m > d"):
+    # the same checks, and messages, as cofiber_homology
+    with pytest.raises(InvalidCell, match=r"cofiber needs codimension >= 1, got Grid\(d=3, c=0\)"):
         twisted_complex(1, 3, 3)
+    with pytest.raises(InvalidCell, match="invalid cell n=1 d=0 m=3"):
+        twisted_complex(1, 0, 3)
+    with pytest.raises(InvalidCell, match="invalid cell n=-1 d=2 m=4"):
+        twisted_complex(-1, 2, 4)
 
 
 def test_connecting_rank_examples():

@@ -279,6 +279,7 @@ def test_monomials_are_the_exponents_with_at_most_c_factors():
         for c in range(8):
             grid = Grid(d, c)
             ctx, monomials = _context(grid), monomial_basis(grid)
+            by_word = {t: monos[::-1] for t, monos in monomials.items()}  # by word index
             expected = {}
             for k in range(c + 1):
                 for gens in combinations_with_replacement(range(1, d + 1), k):
@@ -292,17 +293,27 @@ def test_monomials_are_the_exponents_with_at_most_c_factors():
                 lams = [(*partition(w, d), *[0] * (d + 1)) for w in reversed(ctx.basis[t])]
                 r = [tuple(lam[j] - lam[j + 1] for j in range(d)) for lam in lams]
                 assert monos == [pack(e, grid.slot) for e in r]
-                # step i is word i's monomial u + e_k, k its partition's length,
-                # and its cofactor index names the partition less its first column
+                # step i is word i's monomial r, k its partition's length, the
+                # cofactor index names the partition less its first column, and
+                # the source index names the oracle monomial r - e_j
                 steps = ctx.steps(t)
                 assert [step[0] for step in steps] == list(reversed(range(len(monos))))
-                for (i, _, k, p, u, unit, odd), mono in zip(steps, monos):
+                for (i, mask, k, j, p, q, odd), mono, e in zip(steps, monos, r):
                     lam = partition(ctx.basis[t][i], d)
-                    assert u + unit == mono, (d, c, t, i)
+                    assert mask == ctx.convert(mono, t), (d, c, t, i)
                     assert k == len(lam), (d, c, t, i)
-                    assert unit == pack(tuple(int(j == k) for j in range(1, d + 1)), grid.slot)
                     assert odd == bool(k and lam[k - 1] % 2)  # r_k = lam_k
                     assert ctx.basis[t - k][p] == word(tuple(part - 1 for part in lam if part > 1), d)
+                    # j: the top generator of r - e_k below k, else k for a
+                    # power of w_k past w_k; 0 where the term is never read
+                    lower = [g for g in range(1, k) if e[g - 1]]
+                    if lower:
+                        assert j == (lower[-1] if odd else 0), (d, c, t, i)
+                    else:
+                        assert j == (k if k and e[k - 1] > 1 else 0), (d, c, t, i)
+                    if j:
+                        unit = pack(tuple(int(g == j) for g in range(1, d + 1)), grid.slot)
+                        assert by_word[t - j][q] == mono - unit, (d, c, t, i)
 
 
 def test_dual_classes_die_in_the_quotient():
@@ -441,11 +452,12 @@ def test_wu_route_matches_the_per_term_route_property(n, d, c):
 
 @pytest.mark.parametrize("n", range(4))
 def test_leibniz_steps_match_the_per_term_route_on_long_pure_powers(n):
-    # With d <= 2 and c up to 12 the bases hold w_k^(2a) for long runs of a:
-    # each is an even step from the odd power below it, and the Pieri chain
-    # of an odd power w_k^(2a+1) reaches back 2k > d degrees, past the
-    # buckets it drops.
-    for d in (1, 2):
+    # With d <= 3 and c up to 12 the bases hold w_k^a for long runs of a:
+    # each is an even or odd step from the power below it, and its term is
+    # read off that power's, k degrees down.  With d = 3 the term of a
+    # monomial with w_1 and w_2 below w_3 is read through both lower
+    # generators in turn, down to a power of w_3.
+    for d in (1, 2, 3):
         for c in range(13):
             g = Grid(d, c)
             assert derivation_qn_matrix(n, g) == per_term_derivation_matrix(n, g), (n, d, c)
@@ -496,7 +508,8 @@ def test_a_second_n_shares_the_grids_steps():
 
 def test_a_grid_with_no_columns_has_one_step_of_the_unit_monomial():
     # With c = 0 the d beads fill slots 0..d-1, and a slot needs more bits
-    # than the exponent holds once d > 2; the one word's monomial is 1.
+    # than the exponent holds once d > 2; the one word's monomial is 1, so
+    # its step (i, mask, k, j, p, q, odd) has no generator and no source.
     for d in range(10):
         grid = Grid(d, 0)
         assert schubert_basis(grid) == {0: [(1 << d) - 1]}
