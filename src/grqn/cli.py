@@ -246,7 +246,7 @@ def _twist(cell: tuple[int, int, int]) -> tuple[str, tuple | str]:
         gm = twisted_complex(n, d, m).shifted(m - d)
     except Exception as exc:  # raised in the parent, as a worker cannot
         return "failed", str(exc)
-    return "ok", (gm.shift, gm.spaces, gm.blocks)
+    return "ok", tuple(gm)
 
 
 def load_cache(handle: BufferedIOBase) -> dict[tuple[int, int, int, str], ResultRecord]:

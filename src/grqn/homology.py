@@ -62,39 +62,34 @@ def column_product(cols: Sequence[int], mask: int) -> int:
     return out
 
 
-class GradedMap:
+class GradedMap(namedtuple("GradedMap", "shift spaces blocks")):
     """A degree-raising square-zero map, one F_2 block per degree.
 
     ``spaces`` records positive per-degree dimensions; ``blocks[t]`` holds
     one column bitmask per degree-t basis vector, bits indexing the basis in
     degree ``t + shift``.  Blocks exist exactly where both sides have
-    positive dimension, so equal maps compare equal structurally.
+    positive dimension, so equal maps compare equal as plain values, and
+    ``GradedMap(*tuple(gm)) == gm``.
     """
 
-    def __init__(
-        self,
+    __slots__ = ()
+
+    def __new__(
+        cls,
         shift: int,
         spaces: dict[int, int] | None = None,
         blocks: dict[int, tuple[int, ...]] | None = None,
-    ) -> None:
+    ) -> "GradedMap":
         given = blocks or {}
-        self.shift = shift
-        self.spaces = {t: n for t, n in sorted((spaces or {}).items()) if n > 0}
-        self.blocks: dict[int, tuple[int, ...]] = {}
-        for t, n in self.spaces.items():
-            if self.spaces.get(t + shift, 0) > 0:
+        spaces = {t: n for t, n in sorted((spaces or {}).items()) if n > 0}
+        blocks = {}
+        for t, n in spaces.items():
+            if spaces.get(t + shift, 0) > 0:
                 cols = tuple(given.get(t, ())) or (0,) * n
                 if len(cols) != n:
                     raise ValueError(f"block at degree {t} has {len(cols)} columns, expected {n}")
-                self.blocks[t] = cols
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedMap):
-            return NotImplemented
-        return (self.shift, self.spaces, self.blocks) == (other.shift, other.spaces, other.blocks)
-
-    def __repr__(self) -> str:
-        return f"GradedMap(shift={self.shift!r}, spaces={self.spaces!r}, blocks={self.blocks!r})"
+                blocks[t] = cols
+        return cls._make((shift, spaces, blocks))
 
     def compose_is_zero(self) -> bool:
         """Check the differential law: the block at t+shift kills every image."""

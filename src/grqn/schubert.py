@@ -16,11 +16,11 @@ The monomial of lam is e_(lam') = s_lam plus Schubert classes of smaller
 words (Macdonald I.6), so each degree's basis change is unitriangular and
 the Wu route solves it by forward substitution, with conversion the one
 peel walk: each Leibniz step reads its term off a stored one by one Pieri product.
-Per-grid state (the words, their dimensions and indices, Pieri blocks,
-conversions and each degree's Leibniz steps, shared by every n) is kept
-for the last grid used only, as every command uses its grids one after
-another; all cached values are deterministic, so concurrent use cannot
-produce divergent results.
+Per-grid state (the words, their dimensions and indices, Pieri blocks by
+degree, conversions by monomial and each degree's Leibniz steps, shared by
+every n) is kept for the last grid used only, as every command uses its
+grids one after another; all cached values are deterministic, so concurrent
+use cannot produce divergent results.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class _GridContext:
         self.index = {w: i for words in self.basis.values() for i, w in enumerate(words)}
         self.spaces = {t: len(words) for t, words in self.basis.items()}
         self._pieri: dict[int, list[tuple[int, ...]]] = {}
-        self._convert: dict[int, dict[int, int]] = {0: {0: 1}}
+        self._convert: dict[int, int] = {0: 1}
         self._steps: dict[int, list[tuple[int, int, int, int, int, int, bool]]] = {}
 
     def pieri_block(self, j: int, t: int) -> tuple[int, ...]:
@@ -104,20 +104,20 @@ class _GridContext:
         """Bitmask of the Schubert expansion of the degree-t packed monomial u.
 
         Zero when u dies in the quotient.  Peels the top generator down to a
-        monomial already converted, then multiplies back up one Pieri block
-        at a time, caching every prefix on the way.
+        monomial already converted, then multiplies back up by Pieri blocks,
+        caching each prefix under its monomial, which fixes its degree.
         """
         if t > self.top_degree:
             return 0
         slot, cache = self.slot, self._convert
         peeled = []
-        while (out := cache.setdefault(t, {}).get(u)) is None:
+        while (out := cache.get(u)) is None:
             j = (u.bit_length() - 1) // slot + 1
             peeled.append((u, j, t))
             u -= 1 << slot * (j - 1)
             t -= j
         for v, j, s in reversed(peeled):
-            out = cache[s][v] = column_product(self.pieri_block(j, s - j), out)
+            out = cache[v] = column_product(self.pieri_block(j, s - j), out)
         return out
 
     def steps(self, t: int) -> list[tuple[int, int, int, int, int, int, bool]]:
@@ -211,11 +211,13 @@ def free_operator_matrix(
     and the term X(r) = w^u D(w_k) is P_j X(r - e_j), X(e_k) = D(w_k), with
     the source r - e_j named by the step: its X is stored, as it has r_k
     odd or is a power of w_k, and it lies at most d degrees below, so
-    older images and terms are dropped.  Forward substitution
-    then solves the basis change: the monomial of the word at index i is
-    s_i plus classes at larger indices, solved before it in ascending word
-    order.  ``steps`` holds what of this T does not change.  A basis change
-    that is not unitriangular is a ``RuntimeError``, even if the map is 0.
+    older images and terms are dropped.  Degree t lists its Pieri blocks by
+    generator up to min(d, t), which bounds each k and j.  Forward
+    substitution then solves the basis change: the monomial of the word at
+    index i is s_i plus classes at larger indices, solved before it in
+    ascending word order.  ``steps`` holds what of this T does not change.
+    A basis change that is not unitriangular is a ``RuntimeError``, even if
+    the map is 0.
     """
     ctx = _context(grid)
     bases = [0] * (grid.d + 1)
@@ -230,8 +232,7 @@ def free_operator_matrix(
     blocks: dict[int, tuple[int, ...]] = {}
     for t, degree in enumerate(steps):
         s = t + shift
-        gens = {g for step in degree for g in step[2:4]} - {0}  # each k and j
-        pieri = {g: ctx.pieri_block(g, s - g) for g in gens}
+        pieri = [(), *(ctx.pieri_block(g, s - g) for g in range(1, min(grid.d, t) + 1))]
         cols = [0] * len(degree)
         done = image[t] = [(0, 0)] * len(degree)
         for i, mask, k, j, p, q, odd in degree:

@@ -259,6 +259,17 @@ def test_graded_map_normalization_and_equality():
     assert GradedMap(1) != 5  # a map is never equal to a non-map
 
 
+def test_graded_map_is_a_plain_value():
+    # unsorted spaces, a zero dimension and a missing block normalise away
+    gm = GradedMap(1, {2: 1, 4: 0, 0: 1, 1: 2}, {1: (1, 0)})
+    assert repr(gm) == "GradedMap(shift=1, spaces={0: 1, 1: 2, 2: 1}, blocks={0: (0,), 1: (1, 0)})"
+    assert gm == GradedMap(1, {0: 1, 1: 2, 2: 1}, {0: (0,), 1: (1, 0)})
+    assert list(gm.spaces) == [0, 1, 2]
+    with pytest.raises(TypeError):
+        hash(gm)
+    assert GradedMap(*tuple(gm)) == gm  # the cofiber twist's round trip over the pipe
+
+
 def test_graded_map_shifted_raises_every_degree():
     gm = GradedMap(1, {0: 1, 1: 2, 2: 1}, {0: (0b11,), 1: (1, 1)})
     up = gm.shifted(3)
