@@ -4,7 +4,11 @@
 computations, so it groups them into tasks, the cells of a grid small enough
 for both routes as one task so that its context is built once, and runs the
 tasks longest first, serially or in forked workers that send their records
-back by ``marshal``; a cell over the size cutoff never becomes a task.
+back by ``marshal``; a cell over the size cutoff never becomes a task.  The
+derivation route runs once per n, before the tasks, on the corner grid of
+the cells on both routes: as Q_n is stable, each such cell reads its
+derivation matrix off the corner's and walks its Lenart matrix on its own
+grid.
 ``verify`` appends each finished record to a JSON-lines cache in that
 dispatch order; ``table`` sorts its rows.  ``cofiber`` builds its twist in a
 worker of the same fork map while it builds the ideal.  Outputs use a fixed
@@ -23,6 +27,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
+from functools import partial
 from io import BufferedIOBase
 from itertools import chain, groupby
 from math import comb
@@ -32,7 +37,7 @@ from types import SimpleNamespace
 from .cofiber import check_codimension, cofiber_homology, twisted_complex
 from .formulas import InvalidCell, check_cell, predicted_cofiber_k, predicted_delta_rank, predicted_k
 from .homology import GradedMap, HomologyProfile, qn_homology
-from .schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
+from .schubert import Grid, derivation_qn_matrix, embedded_places, lenart_qn_matrix
 
 CELL_LIMIT_ENV = "GRQN_CELL_LIMIT"
 DEFAULT_CELL_LIMIT = 5_000_000
@@ -136,8 +141,16 @@ def _check_invariants(n: int, d: int, m: int, profile: HomologyProfile) -> None:
                 )
 
 
-def compute_cell(n: int, d: int, m: int, basis: str = "auto") -> ResultRecord:
-    """Build the cell's differential, take homology, check it, compare with prediction."""
+def compute_cell(
+    n: int, d: int, m: int, basis: str = "auto", corner: tuple[GradedMap, dict] | None = None
+) -> ResultRecord:
+    """Build the cell's differential, take homology, check it, compare with prediction.
+
+    On both routes the Lenart matrix, built on the cell's grid, must equal
+    the derivation route's.  That is ``corner``'s matrix, a larger grid's
+    for n, restricted to the places of the cell's words in its basis
+    (``embedded_places``) where given, else built on the cell's grid.
+    """
     check_cell(n, d, m)
     _check_size(d, m)
     method = {
@@ -150,8 +163,10 @@ def compute_cell(n: int, d: int, m: int, basis: str = "auto") -> ResultRecord:
     start = time.perf_counter()
     build = derivation_qn_matrix if method == METHOD_DERIVATION else lenart_qn_matrix
     matrix = build(n, grid)
-    if method == METHOD_BOTH and derivation_qn_matrix(n, grid) != matrix:
-        raise RuntimeError(f"matrix constructions disagree at n={n} grid={grid}")
+    if method == METHOD_BOTH:
+        derived = corner[0].select(corner[1]) if corner else derivation_qn_matrix(n, grid)
+        if derived != matrix:
+            raise RuntimeError(f"matrix constructions disagree at n={n} grid={grid}")
     profile = qn_homology(matrix)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     predicted = predicted_k(n, d, m)
@@ -287,11 +302,14 @@ def _usable_cpus() -> int:
 Outcome = tuple[str, ResultRecord | str | None]
 
 
-def _sweep_cell(cell: tuple[int, int, int]) -> tuple[str, tuple | str]:
-    """The cell's outcome, its record as a plain tuple so that a worker can send it."""
+def _sweep_cell(cell: tuple[int, int, int], corners: dict) -> tuple[str, tuple | str]:
+    """The cell's outcome, its record as a plain tuple so that a worker can send it.
+
+    ``corners`` gives a cell on both routes its corner (see ``_corners``).
+    """
     n, d, m = cell
     try:
-        return "ok", tuple(compute_cell(n, d, m))
+        return "ok", tuple(compute_cell(n, d, m, corner=corners.get(cell)))
     except Exception as exc:  # one failing cell must not end the sweep
         tag = "lower_bound" if isinstance(exc, LowerBoundViolation) else "failed"
         return tag, f"cell n={n} d={d} m={m}: {exc}"
@@ -391,6 +409,37 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
             reap(worker)
 
 
+def _derive(cell: tuple[int, int, int]) -> tuple | None:
+    """The ``GradedMap`` arguments of the cell's derivation matrix, or None if it raised."""
+    n, d, m = cell
+    try:
+        return tuple(derivation_qn_matrix(n, Grid(d, m - d)))
+    except Exception:  # each cell then builds its own, and the corner's cell raises again
+        return None
+
+
+def _corners(cells: list[tuple[int, int, int]], jobs: int) -> dict:
+    """Each of ``cells``, all on both routes, with its corner's matrix and its places in it.
+
+    The corner is the grid with the largest d and the largest c of
+    ``cells``, so it holds each cell's grid.  For each n whose corner cell
+    is among ``cells``, the corner's derivation matrix is built once: with
+    ``jobs``, in a forked child while this process finds the places, so the
+    sweep's workers do not inherit the corner's Pieri tables and steps; in
+    process otherwise.  A cell of another n gets no corner.
+    """
+    if not cells:
+        return {}
+    corner = Grid(max(d for _, d, _ in cells), max(m - d for _, d, m in cells))
+    own = [cell for cell in cells if cell[1:] == (corner.d, corner.m)]
+    if not own:
+        return {}
+    with _fork_map(_derive, [own], min(jobs, 1), "corner") as results:
+        places = embedded_places(corner, {(d, m - d) for _, d, m in cells})
+        built = {n: GradedMap(*args) for (n, _, _), args in zip(own, next(results)) if args}
+    return {(n, d, m): (built[n], places[d, m - d]) for n, d, m in cells if n in built}
+
+
 def _cells(n_range: range, d_range: range, c_range: range) -> list[tuple[int, int, int]]:
     """Every cell ``(n, d, m)`` in range, in (d, c, n) order, once the ranges are checked."""
     for name, values in (("n", n_range), ("d", d_range), ("c", c_range)):
@@ -410,26 +459,34 @@ def _sweep(
     yielded as ``"too_large"`` before any cell runs.  Of the other grids,
     one small enough for both routes is one task, its cells in n order,
     so its context is built once; a larger grid, on the Lenart route alone,
-    is one task per cell, so its cells run in parallel.  The outcomes come
+    is one task per cell, so its cells run in parallel.  Before any task
+    runs, the derivation route is built on the corner of the cells on both
+    routes only (``_corners``), and each such cell reads its derivation
+    matrix off the corner's; each cell's Lenart matrix is still walked on
+    its own grid.  The outcomes come
     in task order: serially, each as soon as its cell is done; with ``jobs``
     > 1, from at most ``jobs`` forked workers (``_fork_map``), as soon as its
     task and every task before it are done.  Where the platform cannot fork,
     the tasks run serially.
     """
     tasks: list[list[tuple[int, int, int]]] = []
+    both: list[tuple[int, int, int]] = []
     for (d, m), grid in groupby(cells, key=itemgetter(1, 2)):
         grid = list(grid)
         if comb(m, d) > cap:
             yield from ((cell, ("too_large", None)) for cell in grid)
         elif default_method(d, m) == METHOD_BOTH:
             tasks.append(grid)
+            both += grid
         else:
             tasks.extend([cell] for cell in grid)
     # Longest task first (Graham's LPT rule), by cell count times basis size
     # comb(m, d); the sort is stable, so ties stay in (d, c, n) order.
     tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
     order = list(chain.from_iterable(tasks))
-    with _fork_map(_sweep_cell, tasks, jobs if jobs > 1 and len(tasks) > 1 else 0, "sweep") as results:
+    jobs = jobs if jobs > 1 and len(tasks) > 1 else 0
+    run = partial(_sweep_cell, corners=_corners(both, jobs))
+    with _fork_map(run, tasks, jobs, "sweep") as results:
         for cell, (tag, payload) in zip(order, chain.from_iterable(results)):
             yield cell, (tag, ResultRecord._make(payload) if tag == "ok" else payload)
 

@@ -121,6 +121,22 @@ class GradedMap(namedtuple("GradedMap", "shift spaces blocks")):
             GradedMap(self.shift, {t: n - cut[t] for t, n in self.spaces.items()}, tails),
         )
 
+    def select(self, keep: dict[int, list[int]]) -> "GradedMap":
+        """The induced map on the basis vectors at ``keep[t]`` in each degree t, in that order.
+
+        Bits off the kept rows are dropped: when the other vectors span a
+        differential ideal, this is the map on the quotient.
+        """
+        blocks: dict[int, tuple[int, ...]] = {}
+        for t, cols in self.blocks.items():
+            rows = keep.get(t + self.shift)
+            if rows and t in keep:
+                units = [0] * self.spaces[t + self.shift]
+                for i, row in enumerate(rows):
+                    units[row] = 1 << i
+                blocks[t] = tuple(column_product(units, cols[i]) for i in keep[t])
+        return GradedMap(self.shift, {t: len(at) for t, at in keep.items()}, blocks)
+
 
 class HomologyProfile(namedtuple("HomologyProfile", "per_degree total")):
     """Per-degree homology dimensions, a dict with zero degrees omitted, and their total."""

@@ -19,8 +19,11 @@ peel walk: each Leibniz step reads its term off a stored one by one Pieri produc
 Per-grid state (the words, their dimensions and indices, Pieri blocks by
 degree, conversions by monomial and each degree's Leibniz steps, shared by
 every n) is kept for the last grid used only, as every command uses its
-grids one after another; all cached values are deterministic, so concurrent
-use cannot produce divergent results.
+grids one after another: a sweep builds the derivation route on its corner
+grid alone, first, and reads each smaller grid's matrix off the corner's at
+that grid's places (``embedded_places``) while it walks the grids' Lenart
+matrices.  All cached values are deterministic, so concurrent use cannot
+produce divergent results.
 """
 
 from __future__ import annotations
@@ -179,6 +182,30 @@ def _context(grid: Grid) -> _GridContext:
 def schubert_basis(grid: Grid) -> dict[int, list[int]]:
     """Bead words of the grid's partitions by degree, in the canonical basis order."""
     return _context(grid).basis
+
+
+def embedded_places(
+    corner: Grid, grids: Iterable[tuple[int, int]]
+) -> dict[tuple[int, int], dict[int, list[int]]]:
+    """Per grid d x c inside the corner and per degree, where its words sit in the corner's basis.
+
+    V -> V + R^(corner.d - d) maps Gr_d(R^(d+c)) into the corner's
+    Grassmannian, and the pullback is a ring surjection keeping s_lam where
+    lam fits d x c and killing it elsewhere.  Q_n is stable, so it commutes
+    with the pullback: ``select`` on these places reads the grid's matrix off
+    the corner's.  The word w goes to (w << k) | (2^k - 1), k = corner.d - d:
+    the k lowest slots full, none at or above corner.d + c.  That keeps the
+    degree and the order of words, so the places ascend.
+    """
+    basis = _context(corner).basis
+    places = {}
+    for d, c in grids:
+        full, top = (1 << corner.d - d) - 1, corner.d + c
+        places[d, c] = {
+            t: [i for i, w in enumerate(basis[t]) if w & full == full and not w >> top]
+            for t in range(d * c + 1)
+        }
+    return places
 
 
 def lenart_qn_matrix(n: int, grid: Grid) -> GradedMap:

@@ -40,7 +40,8 @@ from grqn.cli import (
 from grqn.cofiber import _ideal_cut, cofiber_homology, twisted_complex
 from grqn.formulas import InvalidCell
 from grqn.homology import GradedMap, HomologyProfile, qn_homology
-from grqn.schubert import Grid
+from grqn.schubert import Grid, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
+from oracles import word
 
 GOLDEN_2X2 = (
     "d,c,value,status,method\n"
@@ -138,7 +139,7 @@ def test_verify_jobs_fall_back_to_cpu_count_without_affinity(tmp_path, monkeypat
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     workers = RecordingForkMap(monkeypatch)
     verify_sweep(range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl"))
-    assert workers.jobs == [3]
+    assert workers.jobs == [1, 3]  # the corner's child, then the sweep's workers
 
 
 def test_cell_limit_env_override(monkeypatch):
@@ -819,7 +820,8 @@ def test_a_pooled_verify_in_a_fresh_process_forks_its_workers(tmp_path):
     cell_range = ["--n", "1", "--d", "1..2", "--c", "1..2"]  # four grids, four tasks
     argv = ["verify", *cell_range, "--jobs", "8", "--cache", str(cache)]
     cpus = cli._usable_cpus()
-    forks = min(cpus, 4) if cpus > 1 else 0  # one worker per task, up to the CPUs
+    # the corner's child, then one worker per task, up to the CPUs
+    forks = 1 + min(cpus, 4) if cpus > 1 else 0
     statement = "\n".join([
         "import os",
         "from grqn import cli",
@@ -997,7 +999,7 @@ def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
     summary = verify_sweep(
         range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl")
     )
-    assert workers.jobs == [3]
+    assert workers.jobs == [1, 3]  # the corner's child, then the sweep's workers
     assert summary["proven"] == 4
 
 
@@ -1078,10 +1080,10 @@ def test_a_dead_worker_is_a_clean_error_and_leaves_no_child(tmp_path, monkeypatc
     cache = str(tmp_path / "c.jsonl")
     real = cli._sweep_cell
 
-    def die_at_m4(cell):
+    def die_at_m4(cell, **kwargs):
         if cell[2] == 4:
             os._exit(3)
-        return real(cell)
+        return real(cell, **kwargs)
 
     monkeypatch.setattr(cli, "_sweep_cell", die_at_m4)  # before the workers fork
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # so they fork on any host
@@ -1133,7 +1135,7 @@ def test_a_worker_that_raises_prints_its_traceback_then_dies_with_status_1(tmp_p
         "import sys",
         "from grqn import cli",
         "real = cli._sweep_cell",
-        "cli._sweep_cell = lambda cell: object() if cell == (1, 2, 4) else real(cell)",
+        "cli._sweep_cell = lambda cell, **kwargs: object() if cell == (1, 2, 4) else real(cell, **kwargs)",
         "cli._usable_cpus = lambda: 2",
         "sys.exit(cli.main(sys.argv[1:]))",
     ])
@@ -1261,6 +1263,191 @@ def test_resumed_sweep_builds_only_the_grids_with_uncached_cells(tmp_path, monke
     grids = list(dict.fromkeys((d, m - d) for n, d, m in uncached))
     assert len(grids) < 25  # the seed leaves some grids wholly cached
     assert [(g.d, g.c) for g in built] == grids
+
+
+SWEEP_3X4 = ["--n", "0..2", "--d", "1..3", "--c", "1..4"]  # every grid on both routes, corner 3x4
+CORNER_3X4 = Grid(3, 4)
+
+
+def record_derivations(monkeypatch):
+    """Each (n, grid) the sweep builds a derivation matrix for, in process."""
+    real, built = cli.derivation_qn_matrix, []
+
+    def recording(n, grid):
+        built.append((n, grid))
+        return real(n, grid)
+
+    monkeypatch.setattr(cli, "derivation_qn_matrix", recording)
+    return built
+
+
+def test_a_sweep_builds_the_derivation_route_on_its_corner_grid_only(tmp_path, monkeypatch):
+    # Pieri tables, conversions and Leibniz steps: the grids each is built on
+    built = {}
+    for name in ("pieri_block", "convert", "steps"):
+        real = getattr(schubert._GridContext, name)
+
+        def recording(self, *args, real=real, name=name):
+            built.setdefault(name, set()).add(self.grid)
+            return real(self, *args)
+
+        monkeypatch.setattr(schubert._GridContext, name, recording)
+    derivations = record_derivations(monkeypatch)
+    assert main(["verify", *SWEEP_3X4, "--cache", str(tmp_path / "c.jsonl")]) == 0
+    assert derivations == [(n, CORNER_3X4) for n in range(3)]
+    assert built == dict.fromkeys(["pieri_block", "convert", "steps"], {CORNER_3X4})
+    assert {r["method"] for r in records_without_timing(tmp_path / "c.jsonl")} == {"Both"}
+
+
+def cell_of(line):
+    record = json.loads(line)
+    return record["n"], record["d"], record["m"]
+
+
+def without_timing(line):
+    return re.sub(r', "elapsed_ms": \d+', "", line)
+
+
+def test_a_resumed_sweep_builds_no_corner_matrix_for_an_n_whose_corner_cell_is_cached(tmp_path, monkeypatch):
+    fresh, cache = tmp_path / "fresh.jsonl", tmp_path / "resumed.jsonl"
+    assert main(["verify", *SWEEP_3X4, "--cache", str(fresh)]) == 0
+    lines = read_lines(fresh)
+    cached = {(1, 3, 7), (0, 1, 2), (1, 1, 2), (2, 1, 2)}  # n=1 on the corner, and the 1x1 grid
+    kept = [line for line in lines if cell_of(line) in cached]
+    assert len(kept) == 4
+    cache.write_text("".join(line + "\n" for line in kept))
+    derivations = record_derivations(monkeypatch)
+    assert main(["verify", *SWEEP_3X4, "--cache", str(cache)]) == 0
+    # n=0 and n=2 read every grid off the corner; n=1 builds each uncached grid's own
+    uncached = [(d, c) for d in range(1, 4) for c in range(1, 5) if (d, c) not in {(1, 1), (3, 4)}]
+    assert sorted(derivations[:2]) == [(0, CORNER_3X4), (2, CORNER_3X4)]
+    assert sorted(derivations[2:]) == sorted((1, Grid(d, c)) for d, c in uncached)
+    resumed = read_lines(cache)
+    assert resumed[:4] == kept
+    assert sorted(map(without_timing, resumed)) == sorted(map(without_timing, lines))
+
+
+def flip_a_corner_bit(monkeypatch, n, t, col, row):
+    """The corner's derivation matrix for n gains or loses one bit."""
+    real = cli.derivation_qn_matrix
+
+    def flipped(k, grid):
+        gm = real(k, grid)
+        if (k, grid) != (n, CORNER_3X4):
+            return gm
+        cols = list(gm.blocks[t])
+        cols[col] ^= 1 << row
+        return GradedMap(gm.shift, gm.spaces, {**gm.blocks, t: tuple(cols)})
+
+    monkeypatch.setattr(cli, "derivation_qn_matrix", flipped)
+
+
+def misplace_a_word(monkeypatch, grid, t, wrong):
+    """The first of ``grid``'s places in degree t names the corner's word at ``wrong``."""
+    real = cli.embedded_places
+
+    def misplaced(corner, grids):
+        places = real(corner, grids)
+        places[grid][t][0] = wrong
+        return places
+
+    monkeypatch.setattr(cli, "embedded_places", misplaced)
+
+
+def sweep_failures(tmp_path, monkeypatch, capsys, jobs):
+    """Sweep SWEEP_3X4; the cells that failed, by their messages, and the cells with records."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # so --jobs 2 forks on any host
+    cache = tmp_path / f"{jobs}.jsonl"
+    code = main(["verify", *SWEEP_3X4, "--jobs", str(jobs), "--cache", str(cache)])
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    failed = set()
+    for line in captured.err.splitlines():
+        found = re.fullmatch(
+            r"grqn: cell n=(\d+) d=(\d+) m=(\d+): matrix constructions disagree "
+            r"at n=(\d+) grid=Grid\(d=(\d+), c=(\d+)\)",
+            line,
+        )
+        assert found, line
+        n, d, m, n2, d2, c2 = map(int, found.groups())
+        assert (n, d, m) == (n2, d2, d2 + c2)
+        failed.add((n, d, m))
+    assert summary["mismatch"] == len(failed)
+    assert code == (1 if failed else 0)
+    return failed, set(record_cells(cache))
+
+
+ALL_3X4 = {(n, d, d + c) for n in range(3) for d in range(1, 4) for c in range(1, 5)}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_flipped_corner_bit_fails_every_cell_whose_restriction_holds_it(
+    tmp_path, monkeypatch, capsys, jobs
+):
+    # Q_1(1) = 0: the empty word's column gains the row of (2, 1), which
+    # every grid with d, c >= 2 keeps
+    n, row = 1, schubert_basis(CORNER_3X4)[3].index(word((2, 1), 3))
+    places = schubert.embedded_places(CORNER_3X4, [(d, c) for d in range(1, 4) for c in range(1, 5)])
+    holds = {(n, d, d + c) for (d, c), at in places.items() if 0 in at[0] and row in at.get(3, [])}
+    assert holds == {(1, d, d + c) for d in (2, 3) for c in (2, 3, 4)}
+    flip_a_corner_bit(monkeypatch, n, 0, 0, row)
+    failed, kept = sweep_failures(tmp_path, monkeypatch, capsys, jobs)
+    assert failed == holds
+    assert kept == ALL_3X4 - holds
+
+
+def test_a_corner_build_that_raises_leaves_each_cell_to_build_its_own(tmp_path, monkeypatch, capsys):
+    real = cli.derivation_qn_matrix
+
+    def planted(n, grid):
+        if grid == CORNER_3X4:
+            raise RuntimeError("planted corner fault")
+        return real(n, grid)
+
+    monkeypatch.setattr(cli, "derivation_qn_matrix", planted)
+    cache = tmp_path / "c.jsonl"
+    assert main(["verify", *SWEEP_3X4, "--cache", str(cache)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["mismatch"] == 3
+    # the corner's own cells raise again, each once; every other cell is checked on its own grid
+    assert sorted(captured.err.splitlines()) == [
+        f"grqn: cell n={n} d=3 m=7: planted corner fault" for n in range(3)
+    ]
+    assert set(record_cells(cache)) == {cell for cell in ALL_3X4 if cell[1:] != (3, 7)}
+
+
+def test_a_dead_corner_worker_is_a_clean_error_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_derive", lambda cell: os._exit(3))  # before the child forks
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cache = tmp_path / "c.jsonl"
+    assert main(["verify", *SWEEP_3X4, "--jobs", "2", "--cache", str(cache)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "grqn: corner worker died with exit status 3 on cell n=0 d=3 m=7\n"
+    assert read_lines(cache) == []  # no cell ran
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_misplaced_word_fails_the_cells_of_its_grid_where_the_matrices_differ(
+    tmp_path, monkeypatch, capsys, jobs
+):
+    # degree 3 of the 2x3 grid holds (3) and (2, 1); (3)'s place names (1, 1, 1)
+    grid, wrong = (2, 3), schubert_basis(CORNER_3X4)[3].index(word((1, 1, 1), 3))
+    places = schubert.embedded_places(CORNER_3X4, [grid])[grid]
+    assert wrong not in places[3]
+    places[3][0] = wrong
+    differ = {
+        (n, 2, 5)
+        for n in range(3)
+        if derivation_qn_matrix(n, CORNER_3X4).select(places) != lenart_qn_matrix(n, Grid(*grid))
+    }
+    assert differ  # the plant shows
+    misplace_a_word(monkeypatch, grid, 3, wrong)
+    failed, kept = sweep_failures(tmp_path, monkeypatch, capsys, jobs)
+    assert failed == differ
+    assert kept == ALL_3X4 - differ
 
 
 def test_pool_gets_a_grid_on_both_routes_whole_and_a_larger_grid_cell_by_cell(tmp_path, monkeypatch):

@@ -309,6 +309,29 @@ def test_restrict_matches_the_selection_reference(case):
     assert gm.restrict(cut) == (restrict_selection(gm, head), restrict_selection(gm, tail))
 
 
+@st.composite
+def maps_and_selections(draw):
+    gm, dims, _ = draw(maps_and_cuts())
+    keep = {
+        t: draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+        for t, n in enumerate(dims)
+        if draw(st.booleans())
+    }
+    return gm, keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps_and_selections())
+def test_select_matches_the_selection_reference(case):
+    gm, keep = case
+    assert gm.select(keep) == restrict_selection(gm, keep)
+
+
+def test_select_keeps_the_given_order():
+    gm = GradedMap(1, {0: 2, 1: 3}, {0: (0b011, 0b110)})
+    assert gm.select({0: [1, 0], 1: [2, 0]}) == GradedMap(1, {0: 2, 1: 2}, {0: (0b01, 0b10)})
+
+
 def test_ideal_words_lead_each_degree():
     # A full first row puts lam's bead in the top slot, so those words come first.
     for d in range(1, 8):

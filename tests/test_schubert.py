@@ -17,6 +17,7 @@ from grqn.schubert import (
     _GridContext,
     derivation_parts,
     derivation_qn_matrix,
+    embedded_places,
     lenart_qn_matrix,
     schubert_basis,
 )
@@ -368,6 +369,24 @@ def test_constructions_agree_on_small_grids():
             for c in range(8):
                 g = Grid(d, c)
                 assert lenart_qn_matrix(n, g) == derivation_qn_matrix(n, g)
+
+
+def test_the_corner_matrix_restricts_to_every_grid_inside_it():
+    # V -> V + R^k pulls the corner's ring onto a smaller grid's, keeping the
+    # classes that fit and killing the rest; Q_n is stable, so the corner's
+    # derivation matrix on the kept words is the smaller grid's Lenart matrix.
+    corner = Grid(6, 7)
+    grids = [(d, c) for d in range(corner.d + 1) for c in range(corner.c + 1)]
+    places = embedded_places(corner, grids)
+    words = schubert_basis(corner)
+    for d, c in grids:
+        full = (1 << corner.d - d) - 1
+        for t, kept in schubert_basis(Grid(d, c)).items():
+            assert [words[t][i] for i in places[d, c][t]] == [w << corner.d - d | full for w in kept]
+    big = {n: derivation_qn_matrix(n, corner) for n in range(4)}
+    for n, gm in big.items():
+        for d, c in grids:
+            assert gm.select(places[d, c]) == lenart_qn_matrix(n, Grid(d, c)), (n, d, c)
 
 
 def test_constructions_agree_where_exponents_fill_their_slot():
