@@ -5,10 +5,9 @@ computations, so it groups them into tasks, the cells of a grid small enough
 for both routes as one task so that its context is built once, and runs the
 tasks longest first, serially or in forked workers that send their records
 back by ``marshal``; a cell over the size cutoff never becomes a task.  The
-derivation route runs once per n, before the tasks, on the corner grid of
-the cells on both routes: as Q_n is stable, each such cell reads its
-derivation matrix off the corner's and walks its Lenart matrix on its own
-grid.
+first task builds the derivation route once per n on the corner grid of the
+cells on both routes: as Q_n is stable, each such cell's Lenart matrix, on
+its own grid, must equal the corner's read at the cell's places.
 ``verify`` appends each finished record to a JSON-lines cache in that
 dispatch order; ``table`` sorts its rows.  ``cofiber`` builds its twist in a
 worker of the same fork map while it builds the ideal.  Outputs use a fixed
@@ -27,7 +26,6 @@ import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from functools import partial
 from io import BufferedIOBase
 from itertools import chain, groupby
 from math import comb
@@ -142,14 +140,12 @@ def _check_invariants(n: int, d: int, m: int, profile: HomologyProfile) -> None:
 
 
 def compute_cell(
-    n: int, d: int, m: int, basis: str = "auto", corner: tuple[GradedMap, dict] | None = None
+    n: int, d: int, m: int, basis: str = "auto", keep: Callable[[GradedMap], object] | None = None
 ) -> ResultRecord:
     """Build the cell's differential, take homology, check it, compare with prediction.
 
-    On both routes the Lenart matrix, built on the cell's grid, must equal
-    the derivation route's.  That is ``corner``'s matrix, a larger grid's
-    for n, restricted to the places of the cell's words in its basis
-    (``embedded_places``) where given, else built on the cell's grid.
+    On both routes the Lenart matrix must equal the derivation route's on
+    the cell's grid, unless ``keep`` takes it, once built, to compare it.
     """
     check_cell(n, d, m)
     _check_size(d, m)
@@ -163,10 +159,10 @@ def compute_cell(
     start = time.perf_counter()
     build = derivation_qn_matrix if method == METHOD_DERIVATION else lenart_qn_matrix
     matrix = build(n, grid)
-    if method == METHOD_BOTH:
-        derived = corner[0].select(corner[1]) if corner else derivation_qn_matrix(n, grid)
-        if derived != matrix:
-            raise RuntimeError(f"matrix constructions disagree at n={n} grid={grid}")
+    if keep:
+        keep(matrix)
+    elif method == METHOD_BOTH and derivation_qn_matrix(n, grid) != matrix:
+        raise RuntimeError(f"matrix constructions disagree at n={n} grid={grid}")
     profile = qn_homology(matrix)
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     predicted = predicted_k(n, d, m)
@@ -182,17 +178,8 @@ def compute_cell(
         status = STATUS_PROVEN
     else:
         status = STATUS_CONJECTURE
-    return ResultRecord(
-        n=n,
-        d=d,
-        m=m,
-        computed_total=computed,
-        per_degree=tuple(sorted(profile.per_degree.items())),
-        predicted=predicted,
-        status=status,
-        method=method,
-        elapsed_ms=elapsed_ms,
-    )
+    per_degree = tuple(sorted(profile.per_degree.items()))
+    return ResultRecord(n, d, m, computed, per_degree, predicted, status, method, elapsed_ms)
 
 
 def table_rows(n: int, dmax: int, cmax: int) -> list[dict]:
@@ -302,17 +289,20 @@ def _usable_cpus() -> int:
 Outcome = tuple[str, ResultRecord | str | None]
 
 
-def _sweep_cell(cell: tuple[int, int, int], corners: dict) -> tuple[str, tuple | str]:
-    """The cell's outcome, its record as a plain tuple so that a worker can send it.
+def _sweep_cell(cell: tuple[int, int, int], cornered: bool = False) -> tuple:
+    """The cell's outcome, its record as a plain tuple so that a worker can send it, then a matrix.
 
-    ``corners`` gives a cell on both routes its corner (see ``_corners``).
+    That is a ``cornered`` cell's Lenart matrix as ``GradedMap`` arguments
+    once built, even if a later check raised; else None.
     """
     n, d, m = cell
+    kept: list[GradedMap] = []
     try:
-        return "ok", tuple(compute_cell(n, d, m, corner=corners.get(cell)))
+        outcome = "ok", tuple(compute_cell(n, d, m, keep=kept.append if cornered else None))
     except Exception as exc:  # one failing cell must not end the sweep
         tag = "lower_bound" if isinstance(exc, LowerBoundViolation) else "failed"
-        return tag, f"cell n={n} d={d} m={m}: {exc}"
+        outcome = tag, f"cell n={n} d={d} m={m}: {exc}"
+    return (*outcome, tuple(kept[0]) if kept else None)
 
 
 @contextmanager
@@ -322,15 +312,15 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
     With ``jobs`` 0, or where the platform cannot fork, the map runs in
     process, lazily: each result is computed as the caller takes it.  A
     worker reads task indices from its task pipe and sends each task's
-    results down its result pipe by ``marshal``, as one bytes object holding
-    their encoding, which the parent reads in one call, not one per field;
-    so ``fn`` returns ints and strings in tuples, lists and dicts.  Tasks go
-    out in order, each to whichever worker is free, and the map yields an
-    iterator that gives a task's decoded results once it and every task
-    before it are back; the caller works meanwhile.  A worker that dies,
-    even partway through its results, raises ``WorkerDied``, naming ``role``
-    and the first cell of its task.  On exit every worker still holding a
-    task is killed, and every worker is reaped.
+    results down its result pipe by ``marshal``, as one bytes object of
+    their encodings that the parent reads in one call and decodes one by one
+    as the caller takes them; so ``fn`` returns ints, strings and None in
+    tuples, lists and dicts.  Tasks go out in order, each to whichever
+    worker is free, and the map yields an iterator over each task's results
+    once it and every task before it are back; the caller works meanwhile.
+    A worker that dies, even partway through its results, raises
+    ``WorkerDied``, naming ``role`` and the first cell of its task.  On exit
+    every worker still holding a task is killed, and every worker is reaped.
     """
     if jobs < 1 or not hasattr(os, "fork"):
         yield (map(fn, task) for task in tasks)
@@ -375,7 +365,7 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
                     hand_out(worker)
                     if worker.task is None:
                         poller.unregister(fd)
-            yield done.pop(index)
+            yield map(marshal.loads, done.pop(index))
 
     try:
         for _ in range(min(jobs, len(tasks))):
@@ -388,7 +378,7 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
                     # open until exit: the parent sees end of file after any traceback
                     out = open(result_w, "wb")
                     while line := os.read(task_r, 32):  # empty at end of file
-                        marshal.dump(marshal.dumps(list(map(fn, tasks[int(line)]))), out)
+                        marshal.dump(marshal.dumps([*map(marshal.dumps, map(fn, tasks[int(line)]))]), out)
                         out.flush()
                     os._exit(0)
                 except BrokenPipeError:  # the parent is gone
@@ -409,35 +399,39 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
             reap(worker)
 
 
-def _derive(cell: tuple[int, int, int]) -> tuple | None:
-    """The ``GradedMap`` arguments of the cell's derivation matrix, or None if it raised."""
-    n, d, m = cell
-    try:
-        return tuple(derivation_qn_matrix(n, Grid(d, m - d)))
-    except Exception:  # each cell then builds its own, and the corner's cell raises again
-        return None
+def _corner_task(cells: list[tuple[int, int, int]]) -> tuple[list[list[int]], Callable]:
+    """The corner task's items and function, for ``cells`` on both routes in dispatch order.
 
-
-def _corners(cells: list[tuple[int, int, int]], jobs: int) -> dict:
-    """Each of ``cells``, all on both routes, with its corner's matrix and its places in it.
-
-    The corner is the grid with the largest d and the largest c of
-    ``cells``, so it holds each cell's grid.  For each n whose corner cell
-    is among ``cells``, the corner's derivation matrix is built once: with
-    ``jobs``, in a forked child while this process finds the places, so the
-    sweep's workers do not inherit the corner's Pieri tables and steps; in
-    process otherwise.  A cell of another n gets no corner.
+    The corner, with the largest d and the largest c of ``cells``, holds
+    each cell's grid.  The items are the cells, as lists, whose n has its
+    corner cell among ``cells``.  Each gives its derivation matrix as
+    ``GradedMap`` arguments, the corner's for its n at the cell's places
+    (``embedded_places``) or, if that raised, its own grid's, and the
+    cell's failure if its Lenart matrix differs; or None and what raised.
+    The first call builds the corner's matrices and the places, for this sweep only.
     """
-    if not cells:
-        return {}
-    corner = Grid(max(d for _, d, _ in cells), max(m - d for _, d, m in cells))
-    own = [cell for cell in cells if cell[1:] == (corner.d, corner.m)]
-    if not own:
-        return {}
-    with _fork_map(_derive, [own], min(jobs, 1), "corner") as results:
-        places = embedded_places(corner, {(d, m - d) for _, d, m in cells})
-        built = {n: GradedMap(*args) for (n, _, _), args in zip(own, next(results)) if args}
-    return {(n, d, m): (built[n], places[d, m - d]) for n, d, m in cells if n in built}
+    corner = Grid(max((d for _, d, _ in cells), default=0), max((m - d for _, d, m in cells), default=0))
+    ns = sorted({n for n, d, m in cells if (d, m - d) == corner})
+    items = [list(cell) for cell in cells if cell[0] in ns]
+    built, places = {}, {}
+
+    def derive(item: list[int]) -> tuple[tuple | None, str]:
+        n, d, m = item
+        grid = Grid(d, m - d)
+        if not built:
+            places.update(embedded_places(corner, {(e, k - e) for _, e, k in items}))
+            for k in ns:
+                try:
+                    built[k] = derivation_qn_matrix(k, corner)
+                except Exception:  # each of its cells builds its own instead
+                    built[k] = None
+        try:
+            gm = built[n].select(places[d, m - d]) if built[n] else derivation_qn_matrix(n, grid)
+        except Exception as exc:  # the cell's failure, once it has a matrix
+            return None, f"cell n={n} d={d} m={m}: {exc}"
+        return tuple(gm), f"cell n={n} d={d} m={m}: matrix constructions disagree at n={n} grid={grid}"
+
+    return items, derive
 
 
 def _cells(n_range: range, d_range: range, c_range: range) -> list[tuple[int, int, int]]:
@@ -459,35 +453,41 @@ def _sweep(
     yielded as ``"too_large"`` before any cell runs.  Of the other grids,
     one small enough for both routes is one task, its cells in n order,
     so its context is built once; a larger grid, on the Lenart route alone,
-    is one task per cell, so its cells run in parallel.  Before any task
-    runs, the derivation route is built on the corner of the cells on both
-    routes only (``_corners``), and each such cell reads its derivation
-    matrix off the corner's; each cell's Lenart matrix is still walked on
-    its own grid.  The outcomes come
-    in task order: serially, each as soon as its cell is done; with ``jobs``
-    > 1, from at most ``jobs`` forked workers (``_fork_map``), as soon as its
-    task and every task before it are done.  Where the platform cannot fork,
-    the tasks run serially.
+    is one task per cell, so its cells run in parallel.  The corner task
+    (``_corner_task``) goes first and builds the derivation route of the
+    cells it covers; each counts once its Lenart matrix equals the corner
+    task's, bit for bit.  The outcomes come in task order from ``_fork_map``,
+    in ``jobs`` workers if more than one, each once its task is done.
     """
     tasks: list[list[tuple[int, int, int]]] = []
-    both: list[tuple[int, int, int]] = []
     for (d, m), grid in groupby(cells, key=itemgetter(1, 2)):
         grid = list(grid)
         if comb(m, d) > cap:
             yield from ((cell, ("too_large", None)) for cell in grid)
         elif default_method(d, m) == METHOD_BOTH:
             tasks.append(grid)
-            both += grid
         else:
             tasks.extend([cell] for cell in grid)
     # Longest task first (Graham's LPT rule), by cell count times basis size
     # comb(m, d); the sort is stable, so ties stay in (d, c, n) order.
     tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
     order = list(chain.from_iterable(tasks))
+    items, derive = _corner_task([cell for cell in order if default_method(*cell[1:]) == METHOD_BOTH])
+    owed = set(map(tuple, items))
+    tasks = [items, *tasks] if items else tasks
     jobs = jobs if jobs > 1 and len(tasks) > 1 else 0
-    run = partial(_sweep_cell, corners=_corners(both, jobs))
+
+    def run(item: list[int] | tuple[int, int, int]) -> tuple:
+        return derive(item) if type(item) is list else _sweep_cell(item, cornered=item in owed)
+
     with _fork_map(run, tasks, jobs, "sweep") as results:
-        for cell, (tag, payload) in zip(order, chain.from_iterable(results)):
+        derived = iter(next(results) if items else ())
+        expected, why = next(derived, (None, None))  # so that serially the corner runs first
+        for cell, (tag, payload, lenart) in zip(order, chain.from_iterable(results)):
+            if cell in owed:
+                if lenart is not None and lenart != expected:  # or the corner task raised
+                    tag, payload = "failed", why
+                expected, why = next(derived, (None, None))
             yield cell, (tag, ResultRecord._make(payload) if tag == "ok" else payload)
 
 

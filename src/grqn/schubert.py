@@ -20,10 +20,10 @@ Per-grid state (the words, their dimensions and indices, Pieri blocks by
 degree, conversions by monomial and each degree's Leibniz steps, shared by
 every n) is kept for the last grid used only, as every command uses its
 grids one after another: a sweep builds the derivation route on its corner
-grid alone, first, and reads each smaller grid's matrix off the corner's at
-that grid's places (``embedded_places``) while it walks the grids' Lenart
-matrices.  All cached values are deterministic, so concurrent use cannot
-produce divergent results.
+grid alone, in one task, and reads each smaller grid's matrix off the
+corner's at that grid's places (``embedded_places``), while its other tasks
+walk the grids' Lenart matrices.  All cached values are deterministic, so
+concurrent use cannot produce divergent results.
 """
 
 from __future__ import annotations
@@ -238,8 +238,8 @@ def free_operator_matrix(
     and the term X(r) = w^u D(w_k) is P_j X(r - e_j), X(e_k) = D(w_k), with
     the source r - e_j named by the step: its X is stored, as it has r_k
     odd or is a power of w_k, and it lies at most d degrees below, so
-    older images and terms are dropped.  Degree t lists its Pieri blocks by
-    generator up to min(d, t), which bounds each k and j.  Forward
+    older images and terms are dropped.  Degree t lists the Pieri blocks of
+    the generators its steps name as k or j, and no others.  Forward
     substitution then solves the basis change: the monomial of the word at
     index i is s_i plus classes at larger indices, solved before it in
     ascending word order.  ``steps`` holds what of this T does not change.
@@ -259,7 +259,7 @@ def free_operator_matrix(
     blocks: dict[int, tuple[int, ...]] = {}
     for t, degree in enumerate(steps):
         s = t + shift
-        pieri = [(), *(ctx.pieri_block(g, s - g) for g in range(1, min(grid.d, t) + 1))]
+        pieri = {g: ctx.pieri_block(g, s - g) for g in {g for step in degree for g in step[2:4] if g}}
         cols = [0] * len(degree)
         done = image[t] = [(0, 0)] * len(degree)
         for i, mask, k, j, p, q, odd in degree:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from grqn.cli import (
 )
 from grqn.cofiber import _ideal_cut, cofiber_homology, twisted_complex
 from grqn.formulas import InvalidCell
-from grqn.homology import GradedMap, HomologyProfile, qn_homology
+from grqn.homology import GradedMap, HomologyProfile, NotADifferential, qn_homology
 from grqn.schubert import Grid, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
 from oracles import word
 
@@ -139,7 +140,7 @@ def test_verify_jobs_fall_back_to_cpu_count_without_affinity(tmp_path, monkeypat
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     workers = RecordingForkMap(monkeypatch)
     verify_sweep(range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl"))
-    assert workers.jobs == [1, 3]  # the corner's child, then the sweep's workers
+    assert workers.jobs == [3]  # one fork map, the corner task its first task
 
 
 def test_cell_limit_env_override(monkeypatch):
@@ -820,8 +821,8 @@ def test_a_pooled_verify_in_a_fresh_process_forks_its_workers(tmp_path):
     cell_range = ["--n", "1", "--d", "1..2", "--c", "1..2"]  # four grids, four tasks
     argv = ["verify", *cell_range, "--jobs", "8", "--cache", str(cache)]
     cpus = cli._usable_cpus()
-    # the corner's child, then one worker per task, up to the CPUs
-    forks = 1 + min(cpus, 4) if cpus > 1 else 0
+    # one worker per task, the corner task and four grids, up to the CPUs
+    forks = min(cpus, 5) if cpus > 1 else 0
     statement = "\n".join([
         "import os",
         "from grqn import cli",
@@ -999,7 +1000,7 @@ def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
     summary = verify_sweep(
         range(1, 2), range(1, 3), range(1, 3), jobs=64, cache_path=str(tmp_path / "c.jsonl")
     )
-    assert workers.jobs == [1, 3]  # the corner's child, then the sweep's workers
+    assert workers.jobs == [3]  # one fork map, the corner task its first task
     assert summary["proven"] == 4
 
 
@@ -1120,10 +1121,11 @@ def test_a_worker_that_dies_partway_through_its_results_is_a_clean_error(tmp_pat
     assert main(argv) == 1  # neither EOFError nor ValueError escapes
     captured = capsys.readouterr()
     assert captured.out == ""
-    # each worker sends its first task (m=6, m=5) whole and dies halfway through its second
-    assert re.fullmatch(r"grqn: sweep worker died with exit status 3 on cell n=1 d=1 m=[34]\n", captured.err)
+    # each worker sends its first task (the corner task, m=6) whole and dies
+    # halfway through its second (m=5, m=4)
+    assert re.fullmatch(r"grqn: sweep worker died with exit status 3 on cell n=1 d=1 m=[45]\n", captured.err)
     kept = [json.loads(line)["m"] for line in read_lines(cache)]
-    assert kept == [6, 5][: len(kept)]
+    assert kept == [6][: len(kept)]
     assert Path(cache).read_text().count("\n") == len(kept) == len(load_cache_at(cache))
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -1172,7 +1174,7 @@ def test_a_worker_dead_before_its_next_task_is_a_clean_error_and_leaves_no_child
     monkeypatch.setattr(os, "write", write_to_a_dead_worker)
     with pytest.raises(cli.WorkerDied, match=r"^sweep worker died with exit status -9 on cell n=2 d=2 m=2$"):
         with cli._fork_map(str, [[(1, 1, 1)], [(2, 2, 2)]], 1, "sweep") as results:
-            assert next(results) == ["(1, 1, 1)"]
+            assert list(next(results)) == ["(1, 1, 1)"]
             next(results)
     assert writes == [b"0\n", b"1\n"]
     with pytest.raises(ChildProcessError):  # the worker was reaped
@@ -1417,16 +1419,110 @@ def test_a_corner_build_that_raises_leaves_each_cell_to_build_its_own(tmp_path, 
 
 
 def test_a_dead_corner_worker_is_a_clean_error_and_leaves_no_child(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_derive", lambda cell: os._exit(3))  # before the child forks
+    real = cli._corner_task
+
+    def dying(cells):  # before the workers fork
+        items, _ = real(cells)
+        return items, lambda item: os._exit(3)
+
+    monkeypatch.setattr(cli, "_corner_task", dying)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     cache = tmp_path / "c.jsonl"
     assert main(["verify", *SWEEP_3X4, "--jobs", "2", "--cache", str(cache)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "grqn: corner worker died with exit status 3 on cell n=0 d=3 m=7\n"
-    assert read_lines(cache) == []  # no cell ran
-    with pytest.raises(ChildProcessError):  # the child was reaped
+    assert captured.err == "grqn: sweep worker died with exit status 3 on cell n=0 d=3 m=7\n"
+    assert read_lines(cache) == []  # no record is written before the corner task is back
+    with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_planted_lenart_bit_is_reported_ahead_of_the_cells_later_failures(tmp_path, monkeypatch, capsys, jobs):
+    # (1, 2, 5)'s Lenart matrix gains a bit, and then no longer squares to zero
+    cell, real_lenart = (1, 2, 5), cli.lenart_qn_matrix
+
+    def planted(n, grid):
+        gm = real_lenart(n, grid)
+        if (n, grid) != (1, Grid(2, 3)):
+            return gm
+        return GradedMap(gm.shift, gm.spaces, {**gm.blocks, 0: (gm.blocks[0][0] ^ 1,)})
+
+    monkeypatch.setattr(cli, "lenart_qn_matrix", planted)
+    with pytest.raises(RuntimeError, match="matrix constructions disagree at n=1 grid=Grid"):
+        compute_cell(*cell)
+    with pytest.raises(NotADifferential):  # the checks after the comparison fail too
+        compute_cell(*cell, keep=lambda matrix: None)
+    failed, kept = sweep_failures(tmp_path, monkeypatch, capsys, jobs)
+    assert failed == {cell}
+    assert kept == ALL_3X4 - {cell}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cell_that_raises_before_its_matrix_keeps_its_own_message(tmp_path, monkeypatch, capsys, jobs):
+    real = cli.compute_cell
+
+    def fail_at_n1_d2_m5(n, d, m, **kwargs):
+        if (n, d, m) == (1, 2, 5):
+            raise RuntimeError("planted fault before the matrix")
+        return real(n, d, m, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_cell", fail_at_n1_d2_m5)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cache = tmp_path / "c.jsonl"
+    assert main(["verify", *SWEEP_3X4, "--jobs", str(jobs), "--cache", str(cache)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "grqn: cell n=1 d=2 m=5: planted fault before the matrix\n"
+    assert json.loads(captured.out)["mismatch"] == 1
+    assert set(record_cells(cache)) == ALL_3X4 - {(1, 2, 5)}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sweep_enters_the_fork_map_once_with_the_corner_task_first(tmp_path, monkeypatch, jobs):
+    real, calls = cli._fork_map, []
+
+    def recording(fn, tasks, workers, role):
+        calls.append(([list(task) for task in tasks], workers, role))
+        return real(fn, tasks, workers, role)
+
+    monkeypatch.setattr(cli, "_fork_map", recording)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cache = tmp_path / "c.jsonl"
+    assert main(["verify", *SWEEP_3X4, "--jobs", str(jobs), "--cache", str(cache)]) == 0
+    [(tasks, workers, role)] = calls
+    assert (workers, role) == (jobs if jobs > 1 else 0, "sweep")
+    cells = record_cells(cache)
+    assert [tuple(item) for item in tasks[0]] == cells  # every cell on both routes, in dispatch order
+    assert [cell for task in tasks[1:] for cell in task] == cells
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("cached", [(), ((0, 3, 7), (1, 3, 7))], ids=["fresh", "corner-cached-for-n0-n1"])
+def test_no_record_reaches_the_cache_before_the_corner_task_is_back(tmp_path, monkeypatch, jobs, cached):
+    cache, real, on_disk = tmp_path / "c.jsonl", cli._fork_map, []
+    cache.write_text("".join(compute_cell(*cell).to_json() + "\n" for cell in cached))
+
+    @contextlib.contextmanager
+    def watching(fn, tasks, workers, role):
+        with real(fn, tasks, workers, role) as results:
+            corner = next(results)
+
+            def watched():
+                for restriction in corner:
+                    on_disk.append(len(read_lines(cache)))
+                    yield restriction
+
+            yield chain([watched()], results)
+
+    monkeypatch.setattr(cli, "_fork_map", watching)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert main(["verify", *SWEEP_3X4, "--jobs", str(jobs), "--cache", str(cache)]) == 0
+    if not cached:  # the corner's first two restrictions come before any record, then one ahead of each
+        assert on_disk == [0, *range(len(ALL_3X4) - 1)]
+    else:  # only n=2 has its corner cell to compute, and the first task, Grid(3, 3), starts at n=0
+        assert record_cells(cache)[len(cached)] == (0, 3, 6)
+        assert on_disk[0] == len(cached)
+        assert len(on_disk) == sum(n == 2 for n, _, _ in ALL_3X4)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

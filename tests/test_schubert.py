@@ -389,6 +389,21 @@ def test_the_corner_matrix_restricts_to_every_grid_inside_it():
             assert gm.select(places[d, c]) == lenart_qn_matrix(n, Grid(d, c)), (n, d, c)
 
 
+def test_a_degree_builds_the_pieri_blocks_of_its_steps_generators_only():
+    # Near the top degree the words are long, so some generators up to
+    # min(d, t) are named by no step there: listing them too built 42 and
+    # 64 tables.
+    _context.cache_clear()
+    grid = Grid(6, 7)
+    for n in range(4):
+        assert derivation_qn_matrix(n, grid) == lenart_qn_matrix(n, grid)
+    assert len(_context(grid)._pieri) == 40
+    grid = Grid(8, 8)
+    for n in range(4):
+        derivation_qn_matrix(n, grid)
+    assert len(_context(grid)._pieri) == 61
+
+
 def test_constructions_agree_where_exponents_fill_their_slot():
     # Top degrees 510 and 512 take 9- and 10-bit slots.  Powers of w_1 past
     # w_1^255 occur in both, so a fixed 8-bit slot would carry into w_2.
