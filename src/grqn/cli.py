@@ -426,7 +426,7 @@ def _corner_task(cells: list[tuple[int, int, int]]) -> tuple[list[list[int]], Ca
                 except Exception:  # each of its cells builds its own instead
                     built[k] = None
         try:
-            gm = built[n].select(places[d, m - d]) if built[n] else derivation_qn_matrix(n, grid)
+            gm = built[n].restrict(places[d, m - d]) if built[n] else derivation_qn_matrix(n, grid)
         except Exception as exc:  # the cell's failure, once it has a matrix
             return None, f"cell n={n} d={d} m={m}: {exc}"
         return tuple(gm), f"cell n={n} d={d} m={m}: matrix constructions disagree at n={n} grid={grid}"

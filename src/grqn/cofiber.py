@@ -2,7 +2,8 @@
 
 The Schubert classes with a full first row lead each degree of the basis
 and span a differential ideal; it computes the reduced cofiber homology,
-and its quotient is the complex of the one-step-smaller Grassmannian.
+and its quotient, the last words of each degree (``embedded_places``), is
+the complex of the one-step-smaller Grassmannian.
 This module sits above ``homology``, ``schubert`` and ``steenrod``.  It
 calls their matrix constructions and ``qn_homology`` through the module
 objects, so a wrapper installed on a module attribute sees every call.
@@ -14,12 +15,6 @@ from . import homology, schubert, steenrod
 from .formulas import InvalidCell, check_cell
 from .homology import GradedMap, HomologyProfile
 from .schubert import Grid
-
-
-def _ideal_cut(grid: Grid) -> dict[int, int]:
-    """Per degree, how many words have a full first row: they come first."""
-    top = grid.m - 1  # a full first row puts its bead in the top slot
-    return {t: sum(w >> top for w in words) for t, words in schubert.schubert_basis(grid).items()}
 
 
 def check_codimension(grid: Grid) -> None:
@@ -50,19 +45,22 @@ def cofiber_homology(n: int, d: int, m: int) -> tuple[HomologyProfile, int, Grad
 
     Builds the whole complex once and restricts it to the ideal and the
     quotient, once no ideal column leaves the ideal: ``restrict`` would drop
-    such a bit, and the bug with it.  The rank is recovered from exactness:
-    twice the rank is the homology excess of the two pieces over the whole.
+    such a bit, and the bug with it.  The quotient's places end each degree,
+    so the ideal is a prefix.  The rank is recovered from exactness: twice
+    the rank is the homology excess of the two pieces over the whole.
     """
     check_cell(n, d, m, least_d=1)
     grid = Grid(d, m - d)
     check_codimension(grid)
-    full, cut = schubert.lenart_qn_matrix(n, grid), _ideal_cut(grid)
+    full = schubert.lenart_qn_matrix(n, grid)
+    quot_at = schubert.embedded_places(grid, [(d, grid.c - 1)])[d, grid.c - 1]
+    cut = {t: size - len(quot_at.get(t, ())) for t, size in full.spaces.items()}
     for t, cols in full.blocks.items():
-        if any(col >> cut[t + full.shift] for col in cols[: cut[t]]):
+        if max(cols[: cut[t]], default=0) >> cut[t + full.shift]:
             raise RuntimeError(f"the ideal is not a subcomplex at degree {t} at n={n} d={d} m={m}")
-    sub, quot = full.restrict(cut)
+    sub = full.restrict({t: [*range(k)] for t, k in cut.items()})
     sub_profile = homology.qn_homology(sub)
-    quot_total = homology.qn_homology(quot).total
+    quot_total = homology.qn_homology(full.restrict(quot_at)).total
     excess = sub_profile.total + quot_total - homology.qn_homology(full).total
     if excess < 0 or excess % 2:
         raise RuntimeError(f"exactness defect {excess} at n={n} d={d} m={m}")

@@ -4,7 +4,8 @@ Matrices are stored per cohomological degree as tuples of column bitmasks
 packed into Python ints, so elimination works a full row of bits at a time.
 Degree blocks never get assembled into one big matrix.  This is the
 package's only GF(2) linear algebra: other modules take their column
-products from here.  The one basis change the package makes is
+products from here, and their induced maps on chosen basis vectors from
+``GradedMap.restrict``.  The one basis change the package makes is
 unitriangular, and ``schubert`` solves it by forward substitution.
 """
 
@@ -104,37 +105,32 @@ class GradedMap(namedtuple("GradedMap", "shift spaces blocks")):
         blocks = {t + k: cols for t, cols in self.blocks.items()}
         return GradedMap(self.shift, {t + k: n for t, n in self.spaces.items()}, blocks)
 
-    def restrict(self, cut: dict[int, int]) -> tuple["GradedMap", "GradedMap"]:
-        """Induced maps on the first ``cut[t]`` basis vectors of each degree t, and on the rest.
-
-        Bits outside a piece are dropped: when the first vectors span a
-        subcomplex, the two pieces are the subcomplex and the quotient.
-        """
-        heads: dict[int, tuple[int, ...]] = {}
-        tails: dict[int, tuple[int, ...]] = {}
-        for t, cols in self.blocks.items():
-            rows = cut[t + self.shift]
-            heads[t] = tuple(col & (1 << rows) - 1 for col in cols[: cut[t]])
-            tails[t] = tuple(col >> rows for col in cols[cut[t] :])
-        return (
-            GradedMap(self.shift, {t: cut[t] for t in self.spaces}, heads),
-            GradedMap(self.shift, {t: n - cut[t] for t, n in self.spaces.items()}, tails),
-        )
-
-    def select(self, keep: dict[int, list[int]]) -> "GradedMap":
+    def restrict(self, keep: dict[int, list[int]]) -> "GradedMap":
         """The induced map on the basis vectors at ``keep[t]`` in each degree t, in that order.
 
         Bits off the kept rows are dropped: when the other vectors span a
-        differential ideal, this is the map on the quotient.
+        differential ideal, this is the map on the quotient, and when the
+        kept ones span a subcomplex, the map on it.  Rows kept as one
+        ascending run are cut by a shift, and a mask if the run ends below
+        the top; other rows are taken through ``column_product``.
         """
         blocks: dict[int, tuple[int, ...]] = {}
+        ramp = [*range(max(self.spaces.values(), default=0))]  # runs to compare rows with
         for t, cols in self.blocks.items():
-            rows = keep.get(t + self.shift)
-            if rows and t in keep:
+            rows, at = keep.get(t + self.shift), keep.get(t)
+            if not (rows and at):
+                continue
+            low, high = rows[0], rows[0] + len(rows)
+            if rows != ramp[low:high]:
                 units = [0] * self.spaces[t + self.shift]
                 for i, row in enumerate(rows):
                     units[row] = 1 << i
-                blocks[t] = tuple(column_product(units, cols[i]) for i in keep[t])
+                blocks[t] = tuple(column_product(units, cols[i]) for i in at)
+            elif high < self.spaces[t + self.shift]:
+                mask = (1 << high) - 1
+                blocks[t] = tuple((cols[i] & mask) >> low for i in at)
+            else:
+                blocks[t] = tuple(cols[i] >> low for i in at)
         return GradedMap(self.shift, {t: len(at) for t, at in keep.items()}, blocks)
 
 

@@ -22,8 +22,9 @@ every n) is kept for the last grid used only, as every command uses its
 grids one after another: a sweep builds the derivation route on its corner
 grid alone, in one task, and reads each smaller grid's matrix off the
 corner's at that grid's places (``embedded_places``), while its other tasks
-walk the grids' Lenart matrices.  All cached values are deterministic, so
-concurrent use cannot produce divergent results.
+walk the grids' Lenart matrices; the cofiber reads its quotient off the
+same places.  All cached values are deterministic, so concurrent use
+cannot produce divergent results.
 """
 
 from __future__ import annotations
@@ -192,19 +193,18 @@ def embedded_places(
     V -> V + R^(corner.d - d) maps Gr_d(R^(d+c)) into the corner's
     Grassmannian, and the pullback is a ring surjection keeping s_lam where
     lam fits d x c and killing it elsewhere.  Q_n is stable, so it commutes
-    with the pullback: ``select`` on these places reads the grid's matrix off
-    the corner's.  The word w goes to (w << k) | (2^k - 1), k = corner.d - d:
-    the k lowest slots full, none at or above corner.d + c.  That keeps the
-    degree and the order of words, so the places ascend.
+    with the pullback: ``GradedMap.restrict`` on these places reads the
+    grid's matrix off the corner's.  The word w goes to (w << k) | (2^k - 1),
+    k = corner.d - d: the k lowest slots full, none at or above corner.d + c.
+    That keeps the degree and the order of words, so the places ascend; for
+    d x (c - 1) in d x c, the cofiber's quotient, they end each degree.
     """
     basis = _context(corner).basis
     places = {}
     for d, c in grids:
-        full, top = (1 << corner.d - d) - 1, corner.d + c
-        places[d, c] = {
-            t: [i for i, w in enumerate(basis[t]) if w & full == full and not w >> top]
-            for t in range(d * c + 1)
-        }
+        full = (1 << corner.d - d) - 1
+        edge = full | -1 << corner.d + c  # the k lowest slots, and all from corner.d + c up
+        places[d, c] = {t: [i for i, w in enumerate(basis[t]) if w & edge == full] for t in range(d * c + 1)}
     return places
 
 

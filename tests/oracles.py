@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from grqn import schubert, steenrod
-from grqn.cofiber import _ideal_cut, check_codimension
+from grqn.cofiber import check_codimension
 from grqn.formulas import InvalidCell, _binomial_sum, _comb
 from grqn.homology import GradedMap, HomologyProfile, _echelon, column_product
 from grqn.schubert import Grid, _context
@@ -614,6 +614,22 @@ def fixed_point_count(rep: list[tuple[str, int]], d: int) -> int:
     return count(0, d)
 
 
+def ideal_cut(grid: Grid) -> dict[int, int]:
+    """Per degree, how many words have a full first row: they come first.
+
+    A full first row puts the partition's top bead in the top slot, m - 1.
+    """
+    top = grid.m - 1
+    return {t: sum(w >> top for w in words) for t, words in partitions_in_grid(grid.d, grid.c).items()}
+
+
+def split_at(gm: GradedMap, cut: dict[int, int]) -> tuple[GradedMap, GradedMap]:
+    """Induced maps on the first ``cut[t]`` basis vectors of each degree t, and on the rest."""
+    head = {t: list(range(cut[t])) for t in gm.spaces}
+    tail = {t: list(range(cut[t], size)) for t, size in gm.spaces.items()}
+    return gm.restrict(head), gm.restrict(tail)
+
+
 def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
     """Split the Grassmannian complex along the kernel of the restriction map.
 
@@ -623,7 +639,7 @@ def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
     Grassmannian.
     """
     check_codimension(grid)
-    return schubert.lenart_qn_matrix(n, grid).restrict(_ideal_cut(grid))
+    return split_at(schubert.lenart_qn_matrix(n, grid), ideal_cut(grid))
 
 
 def _in_span(v: int, pivots: dict[int, int]) -> bool:
@@ -643,7 +659,7 @@ def ideal_inclusion_induced_zero(n: int, d: int, m: int) -> bool:
     """
     grid = Grid(d, m - d)
     full = schubert.lenart_qn_matrix(n, grid)
-    sub, _ = full.restrict(_ideal_cut(grid))
+    sub, _ = split_at(full, ideal_cut(grid))
     for t, dim in sub.spaces.items():
         cols = sub.blocks.get(t)
         cocycles = _kernel_basis(cols) if cols else [1 << j for j in range(dim)]
@@ -662,8 +678,7 @@ def restrict_selection(gm: GradedMap, selection: dict[int, list[int]]) -> Graded
 
     Both domain and codomain are cut down; bits outside the selection are
     dropped, which is the quotient map when the selection is not
-    invariant.  The reference for ``GradedMap.restrict``, which splits at a
-    prefix.
+    invariant.  The reference for ``GradedMap.restrict``, bit by bit.
     """
     spaces = {t: len(idx) for t, idx in selection.items() if idx}
     blocks: dict[int, tuple[int, ...]] = {}

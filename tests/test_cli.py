@@ -38,11 +38,11 @@ from grqn.cli import (
     verify_sweep,
     _parse_range,
 )
-from grqn.cofiber import _ideal_cut, cofiber_homology, twisted_complex
+from grqn.cofiber import cofiber_homology, twisted_complex
 from grqn.formulas import InvalidCell
 from grqn.homology import GradedMap, HomologyProfile, NotADifferential, qn_homology
 from grqn.schubert import Grid, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
-from oracles import word
+from oracles import ideal_cut, word
 
 GOLDEN_2X2 = (
     "d,c,value,status,method\n"
@@ -616,6 +616,22 @@ def plant_flipped_generator_term(monkeypatch):
     monkeypatch.setattr(steenrod, "milnor_q_generators", flipped)
 
 
+def test_a_planted_bit_in_a_q4_lenart_matrix_fails_the_route_comparison(monkeypatch):
+    n, d, m = 4, 2, 33
+    assert compute_cell(n, d, m, basis="both").method == "Both"
+    real = cli.lenart_qn_matrix
+
+    def planted(k, grid):
+        gm = real(k, grid)
+        t = min(t for t, cols in gm.blocks.items() if any(cols))
+        first, *rest = gm.blocks[t]
+        return GradedMap(gm.shift, gm.spaces, {**gm.blocks, t: (first ^ 1, *rest)})
+
+    monkeypatch.setattr(cli, "lenart_qn_matrix", planted)
+    with pytest.raises(RuntimeError, match=r"matrix constructions disagree at n=4 grid=Grid\(d=2, c=31\)"):
+        compute_cell(n, d, m, basis="both")
+
+
 @pytest.mark.parametrize(
     "command, plant, message",
     [
@@ -656,7 +672,7 @@ def plant_ideal_leak(monkeypatch):
 
 
 def test_an_ideal_that_is_not_a_subcomplex_is_a_clean_error(monkeypatch, capsys):
-    assert _ideal_cut(Grid(3, 3))[3] == 1 and _ideal_cut(Grid(3, 3))[6] == 2
+    assert ideal_cut(Grid(3, 3))[3] == 1 and ideal_cut(Grid(3, 3))[6] == 2
     assert cofiber_homology(1, 3, 6)[1] == 0
     plant_ideal_leak(monkeypatch)
     assert schubert.lenart_qn_matrix(1, Grid(3, 3)).compose_is_zero()
@@ -1537,7 +1553,7 @@ def test_a_misplaced_word_fails_the_cells_of_its_grid_where_the_matrices_differ(
     differ = {
         (n, 2, 5)
         for n in range(3)
-        if derivation_qn_matrix(n, CORNER_3X4).select(places) != lenart_qn_matrix(n, Grid(*grid))
+        if derivation_qn_matrix(n, CORNER_3X4).restrict(places) != lenart_qn_matrix(n, Grid(*grid))
     }
     assert differ  # the plant shows
     misplace_a_word(monkeypatch, grid, 3, wrong)

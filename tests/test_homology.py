@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grqn import homology
-from grqn.cofiber import _ideal_cut, cofiber_homology, twisted_complex
+from grqn.cofiber import cofiber_homology, twisted_complex
 from grqn.formulas import InvalidCell
 from grqn.homology import (
     GradedMap,
@@ -18,10 +18,11 @@ from grqn.homology import (
     column_product,
     qn_homology,
 )
-from grqn.schubert import Grid, lenart_qn_matrix, schubert_basis
+from grqn.schubert import Grid, embedded_places, lenart_qn_matrix, schubert_basis
 from oracles import (
     bitwise_product,
     block,
+    ideal_cut,
     ideal_inclusion_induced_zero,
     ideal_subcomplex,
     invert,
@@ -280,9 +281,10 @@ def test_graded_map_shifted_raises_every_degree():
 
 def test_graded_map_restrict_quotient_drops_rows():
     gm = GradedMap(1, {0: 2, 1: 3}, {0: (0b011, 0b111)})
-    head, tail = gm.restrict({0: 1, 1: 1})
+    head = gm.restrict({0: [0], 1: [0]})
     assert head.spaces == {0: 1, 1: 1}
     assert block(head, 0) == (0b1,)  # image bit 1 is outside the head
+    tail = gm.restrict({0: [1], 1: [1, 2]})
     assert tail.spaces == {0: 1, 1: 2}
     assert block(tail, 0) == (0b11,)  # image bit 0 is in the head, so the quotient drops it
 
@@ -300,47 +302,54 @@ def maps_and_cuts(draw):
     return GradedMap(shift, dict(enumerate(dims)), blocks), dims, cut
 
 
-@settings(max_examples=200, deadline=None)
-@given(maps_and_cuts())
-def test_restrict_matches_the_selection_reference(case):
-    gm, dims, cut = case
+@st.composite
+def maps_and_places(draw):
+    """A map, the prefixes and suffixes of a cut, and prefixes of permutations in some degrees."""
+    gm, dims, cut = draw(maps_and_cuts())
     head = {t: list(range(k)) for t, k in cut.items()}
     tail = {t: list(range(cut[t], n)) for t, n in enumerate(dims)}
-    assert gm.restrict(cut) == (restrict_selection(gm, head), restrict_selection(gm, tail))
-
-
-@st.composite
-def maps_and_selections(draw):
-    gm, dims, _ = draw(maps_and_cuts())
     keep = {
         t: draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
         for t, n in enumerate(dims)
         if draw(st.booleans())
     }
-    return gm, keep
+    return gm, [head, tail, keep]
 
 
 @settings(max_examples=200, deadline=None)
-@given(maps_and_selections())
-def test_select_matches_the_selection_reference(case):
-    gm, keep = case
-    assert gm.select(keep) == restrict_selection(gm, keep)
+@given(maps_and_places())
+def test_restrict_matches_the_selection_reference(case):
+    gm, places = case
+    for keep in places:
+        assert gm.restrict(keep) == restrict_selection(gm, keep), keep
 
 
-def test_select_keeps_the_given_order():
+def test_restrict_keeps_the_given_order():
     gm = GradedMap(1, {0: 2, 1: 3}, {0: (0b011, 0b110)})
-    assert gm.select({0: [1, 0], 1: [2, 0]}) == GradedMap(1, {0: 2, 1: 2}, {0: (0b01, 0b10)})
+    assert gm.restrict({0: [1, 0], 1: [2, 0]}) == GradedMap(1, {0: 2, 1: 2}, {0: (0b01, 0b10)})
+
+
+def test_restrict_cuts_only_an_ascending_run():
+    # [0, 2, 1, 3] spans rows 0..3 but is not a run: a shift and mask would
+    # leave row 1 at bit 1, where the given order puts it at bit 2
+    gm = GradedMap(1, {0: 1, 1: 4}, {0: (0b0010,)})
+    keep = {0: [0], 1: [0, 2, 1, 3]}
+    assert gm.restrict(keep) == restrict_selection(gm, keep) == GradedMap(1, {0: 1, 1: 4}, {0: (0b0100,)})
+    run = {0: [0], 1: [1, 2, 3]}
+    assert gm.restrict(run) == restrict_selection(gm, run) == GradedMap(1, {0: 1, 1: 3}, {0: (0b001,)})
 
 
 def test_ideal_words_lead_each_degree():
-    # A full first row puts lam's bead in the top slot, so those words come first.
+    # The pullback to d x (c - 1) keeps the words without a full first row,
+    # which have no bead in the top slot: they end each degree, and the
+    # ideal, the words with a full first row, leads it.
     for d in range(1, 8):
         for c in range(1, 8):
             grid = Grid(d, c)
-            cut = _ideal_cut(grid)
+            quot, cut = embedded_places(grid, [(d, c - 1)])[d, c - 1], ideal_cut(grid)
             for t, words in schubert_basis(grid).items():
-                full_row = [partition(w, d)[:1] == (c,) for w in words]
-                assert full_row == [True] * cut[t] + [False] * (len(words) - cut[t])
+                short = [i for i, w in enumerate(words) if partition(w, d)[:1] != (c,)]
+                assert quot.get(t, []) == short == list(range(cut[t], len(words))), (d, c, t)
 
 
 # --- the column product and pivot-skip ranks -----------------------------------

@@ -271,6 +271,31 @@ def test_only_the_leibniz_steps_read_a_monomial_off_a_word():
     assert found == {"_GridContext.steps"}
 
 
+BEAD_WORD_ACCESSORS = {"schubert_basis", "partitions_in_grid"}
+
+
+def calls_to(tree, names):
+    """(line, callee) for each call in ``tree`` to a function named in ``names``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in names:
+                yield node.lineno, callee
+
+
+def test_only_young_and_schubert_read_bead_words():
+    # Other modules take a smaller grid's classes by their places in a
+    # basis (``schubert.embedded_places``), never off the words themselves.
+    assert list(calls_to(parsed(MODULES["schubert"]), BEAD_WORD_ACCESSORS))  # the scan finds a call
+    found = [
+        f"{name}.py:{line} calls {callee}"
+        for name, path in MODULES.items()
+        if name not in ("young", "schubert")
+        for line, callee in calls_to(parsed(path), BEAD_WORD_ACCESSORS)
+    ]
+    assert not found, found
+
+
 def self_calls(tree):
     """Dotted names of the functions that call themselves by name."""
     for node in ast.walk(tree):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grqn.cli import main
-from grqn.cofiber import _ideal_cut, twisted_complex
+from grqn.cofiber import twisted_complex
 from grqn.homology import GradedMap, _echelon
 from grqn.schubert import (
     Grid,
@@ -28,6 +28,7 @@ from oracles import (
     dual_class,
     generator,
     grid_partitions,
+    ideal_cut,
     invert,
     is_zero,
     monomial_basis,
@@ -159,7 +160,7 @@ def test_pieri_blocks_restrict_along_the_inclusion():
     for d in range(1, 7):
         for c in range(7):
             big, small = Grid(d, c + 1), Grid(d, c)
-            cut = _ideal_cut(big)
+            cut = ideal_cut(big)
             big_ctx, small_ctx = _context(big), _context(small)  # the cache keeps one grid
             for t, words in big_ctx.basis.items():
                 assert words[cut[t] :] == small_ctx.basis.get(t, []), (d, c, t)
@@ -371,6 +372,29 @@ def test_constructions_agree_on_small_grids():
                 assert lenart_qn_matrix(n, g) == derivation_qn_matrix(n, g)
 
 
+HIGH_N_GRIDS = [
+    (3, 3, 14),
+    (3, 2, 15),
+    (3, 4, 13),
+    (3, 5, 12),
+    (3, 4, 14),
+    (4, 2, 31),
+    (4, 3, 30),
+    (4, 3, 31),
+    (5, 2, 63),  # packs monomials at shift 63
+]
+
+
+@pytest.mark.parametrize("n, d, c", HIGH_N_GRIDS)
+def test_constructions_agree_on_nonzero_high_n_matrices(n, d, c):
+    # Every Q_n matrix with m <= 2^(n+1) is zero, so the grids above, with
+    # m <= 14, compare no nonzero one for n >= 3.
+    g = Grid(d, c)
+    gm = lenart_qn_matrix(n, g)
+    assert not is_zero(gm)
+    assert gm == derivation_qn_matrix(n, g)
+
+
 def test_the_corner_matrix_restricts_to_every_grid_inside_it():
     # V -> V + R^k pulls the corner's ring onto a smaller grid's, keeping the
     # classes that fit and killing the rest; Q_n is stable, so the corner's
@@ -386,7 +410,7 @@ def test_the_corner_matrix_restricts_to_every_grid_inside_it():
     big = {n: derivation_qn_matrix(n, corner) for n in range(4)}
     for n, gm in big.items():
         for d, c in grids:
-            assert gm.select(places[d, c]) == lenart_qn_matrix(n, Grid(d, c)), (n, d, c)
+            assert gm.restrict(places[d, c]) == lenart_qn_matrix(n, Grid(d, c)), (n, d, c)
 
 
 def test_a_degree_builds_the_pieri_blocks_of_its_steps_generators_only():
