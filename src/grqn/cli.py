@@ -25,7 +25,8 @@ import sys
 import time
 from collections import namedtuple
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from functools import partial
 from io import BufferedIOBase
 from itertools import chain, groupby
 from math import comb
@@ -223,7 +224,7 @@ def cofiber_report(n: int, d: int, m: int) -> dict:
     check_cell(n, d, m, least_d=1)
     _check_size(d, m)
     check_codimension(Grid(d, m - d))
-    with _fork_map(_twist, [[(n, d, m)]], 1 if _usable_cpus() >= 2 else 0, "twist") as results:
+    with _fork_map([(_twist, [(n, d, m)])], 1 if _usable_cpus() >= 2 else 0, "twist") as results:
         sub_profile, delta, sub = cofiber_homology(n, d, m)
         [(tag, payload)] = next(results)
     if tag == "failed":
@@ -289,16 +290,16 @@ def _usable_cpus() -> int:
 Outcome = tuple[str, ResultRecord | str | None]
 
 
-def _sweep_cell(cell: tuple[int, int, int], cornered: bool = False) -> tuple:
+def _sweep_cell(cell: tuple[int, int, int], owed: set[tuple[int, int, int]]) -> tuple:
     """The cell's outcome, its record as a plain tuple so that a worker can send it, then a matrix.
 
-    That is a ``cornered`` cell's Lenart matrix as ``GradedMap`` arguments
-    once built, even if a later check raised; else None.
+    That is the Lenart matrix of a cell in ``owed``, as ``GradedMap``
+    arguments, once built, even if a later check raised; else None.
     """
     n, d, m = cell
     kept: list[GradedMap] = []
     try:
-        outcome = "ok", tuple(compute_cell(n, d, m, keep=kept.append if cornered else None))
+        outcome = "ok", tuple(compute_cell(n, d, m, keep=kept.append if cell in owed else None))
     except Exception as exc:  # one failing cell must not end the sweep
         tag = "lower_bound" if isinstance(exc, LowerBoundViolation) else "failed"
         outcome = tag, f"cell n={n} d={d} m={m}: {exc}"
@@ -306,8 +307,8 @@ def _sweep_cell(cell: tuple[int, int, int], cornered: bool = False) -> tuple:
 
 
 @contextmanager
-def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator[Iterator[list]]:
-    """``map(fn, task)`` for each task, in at most ``jobs`` workers forked on entry.
+def _fork_map(tasks: list[tuple[Callable, list]], jobs: int, role: str) -> Iterator[Iterator[list]]:
+    """``map(fn, items)`` for each task ``(fn, items)``, in at most ``jobs`` workers forked on entry.
 
     With ``jobs`` 0, or where the platform cannot fork, the map runs in
     process, lazily: each result is computed as the caller takes it.  A
@@ -323,7 +324,7 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
     every worker still holding a task is killed, and every worker is reaped.
     """
     if jobs < 1 or not hasattr(os, "fork"):
-        yield (map(fn, task) for task in tasks)
+        yield (map(*task) for task in tasks)
         return
     pending = iter(range(len(tasks)))
     workers: dict[int, SimpleNamespace] = {}  # by the parent's end of the result pipe
@@ -357,7 +358,7 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
                     try:
                         done[worker.task] = marshal.loads(marshal.load(worker.reader))
                     except EOFError:  # the worker died
-                        n, d, m = tasks[worker.task][0]
+                        n, d, m = tasks[worker.task][1][0]
                         status = reap(workers.pop(fd))
                         raise WorkerDied(
                             f"{role} worker died with exit status {status} on cell n={n} d={d} m={m}"
@@ -378,7 +379,7 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
                     # open until exit: the parent sees end of file after any traceback
                     out = open(result_w, "wb")
                     while line := os.read(task_r, 32):  # empty at end of file
-                        marshal.dump(marshal.dumps([*map(marshal.dumps, map(fn, tasks[int(line)]))]), out)
+                        marshal.dump(marshal.dumps([*map(marshal.dumps, map(*tasks[int(line)]))]), out)
                         out.flush()
                     os._exit(0)
                 except BrokenPipeError:  # the parent is gone
@@ -399,24 +400,24 @@ def _fork_map(fn: Callable, tasks: list[list], jobs: int, role: str) -> Iterator
             reap(worker)
 
 
-def _corner_task(cells: list[tuple[int, int, int]]) -> tuple[list[list[int]], Callable]:
+def _corner_task(cells: list[tuple[int, int, int]]) -> tuple[list[tuple[int, int, int]], Callable]:
     """The corner task's items and function, for ``cells`` on both routes in dispatch order.
 
     The corner, with the largest d and the largest c of ``cells``, holds
-    each cell's grid.  The items are the cells, as lists, whose n has its
-    corner cell among ``cells``.  Each gives its derivation matrix as
-    ``GradedMap`` arguments, the corner's for its n at the cell's places
+    each cell's grid.  The items are the cells whose n has its corner cell
+    among ``cells``.  Each gives its derivation matrix as ``GradedMap``
+    arguments, the corner's for its n at the cell's places
     (``embedded_places``) or, if that raised, its own grid's, and the
     cell's failure if its Lenart matrix differs; or None and what raised.
     The first call builds the corner's matrices and the places, for this sweep only.
     """
     corner = Grid(max((d for _, d, _ in cells), default=0), max((m - d for _, d, m in cells), default=0))
     ns = sorted({n for n, d, m in cells if (d, m - d) == corner})
-    items = [list(cell) for cell in cells if cell[0] in ns]
+    items = [cell for cell in cells if cell[0] in ns]
     built, places = {}, {}
 
-    def derive(item: list[int]) -> tuple[tuple | None, str]:
-        n, d, m = item
+    def derive(cell: tuple[int, int, int]) -> tuple[tuple | None, str]:
+        n, d, m = cell
         grid = Grid(d, m - d)
         if not built:
             places.update(embedded_places(corner, {(e, k - e) for _, e, k in items}))
@@ -453,11 +454,11 @@ def _sweep(
     yielded as ``"too_large"`` before any cell runs.  Of the other grids,
     one small enough for both routes is one task, its cells in n order,
     so its context is built once; a larger grid, on the Lenart route alone,
-    is one task per cell, so its cells run in parallel.  The corner task
-    (``_corner_task``) goes first and builds the derivation route of the
-    cells it covers; each counts once its Lenart matrix equals the corner
-    task's, bit for bit.  The outcomes come in task order from ``_fork_map``,
-    in ``jobs`` workers if more than one, each once its task is done.
+    is one task per cell, so its cells run in parallel, by ``_sweep_cell``.
+    The corner task (``_corner_task``), with its own function, goes first
+    and derives its cells; each counts once its Lenart matrix equals the
+    corner task's, bit for bit.  Outcomes come in task order, each once its
+    task is done, from ``_fork_map`` in ``jobs`` workers if more than one.
     """
     tasks: list[list[tuple[int, int, int]]] = []
     for (d, m), grid in groupby(cells, key=itemgetter(1, 2)):
@@ -473,14 +474,11 @@ def _sweep(
     tasks.sort(key=lambda task: -len(task) * comb(task[0][2], task[0][1]))
     order = list(chain.from_iterable(tasks))
     items, derive = _corner_task([cell for cell in order if default_method(*cell[1:]) == METHOD_BOTH])
-    owed = set(map(tuple, items))
-    tasks = [items, *tasks] if items else tasks
+    owed = set(items)
+    tasks = [(partial(_sweep_cell, owed=owed), task) for task in tasks]
+    tasks = [(derive, items), *tasks] if items else tasks
     jobs = jobs if jobs > 1 and len(tasks) > 1 else 0
-
-    def run(item: list[int] | tuple[int, int, int]) -> tuple:
-        return derive(item) if type(item) is list else _sweep_cell(item, cornered=item in owed)
-
-    with _fork_map(run, tasks, jobs, "sweep") as results:
+    with _fork_map(tasks, jobs, "sweep") as results:
         derived = iter(next(results) if items else ())
         expected, why = next(derived, (None, None))  # so that serially the corner runs first
         for cell, (tag, payload, lenart) in zip(order, chain.from_iterable(results)):
@@ -514,14 +512,14 @@ def verify_sweep(
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     cells = _cells(n_range, d_range, c_range)
     cap = cell_limit()
-    try:
-        handle = open(cache_path, "a+b")
-    except OSError as exc:
-        raise UsageError(f"cannot use cache {cache_path}: {exc.strerror}") from exc
     summary = dict.fromkeys([*SUMMARY.values(), "skipped", "lower_bound_violations"], 0)
-    with handle:
-        cache = load_cache(handle)
-        handle.truncate()  # after the last readable record: drops a write cut off
+    with ExitStack() as stack:
+        try:
+            handle = stack.enter_context(open(cache_path, "a+b"))
+            cache = load_cache(handle)
+            handle.truncate()  # after the last readable record: drops a write cut off
+        except OSError as exc:
+            raise UsageError(f"cannot use cache {cache_path}: {exc.strerror}") from exc
         if handle.tell():
             handle.write(b"\n")  # ends that record's line
         todo = []

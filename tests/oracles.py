@@ -701,6 +701,28 @@ def restrict_selection(gm: GradedMap, selection: dict[int, list[int]]) -> Graded
     return GradedMap(gm.shift, spaces, blocks)
 
 
+def dual(gm: GradedMap, grid: Grid) -> GradedMap:
+    """The adjoint of ``gm`` under the Poincare pairing of the grid's Schubert basis.
+
+    The pairing matches each bead word with its m bits reversed, the word
+    of the complement of its partition in the grid, so the block from
+    degree t to t + shift transposes into the block from degree
+    top - shift - t to top - t.
+    """
+    basis = partitions_in_grid(grid.d, grid.c)
+    index = {w: i for words in basis.values() for i, w in enumerate(words)}
+    flip = {w: sum(1 << grid.m - 1 - p for p in bits(w)) for w in index}
+    top = grid.top_degree
+    blocks = {}
+    for t, cols in gm.blocks.items():
+        s = top - gm.shift - t
+        blocks[s] = tuple(
+            sum(1 << index[v] for v in basis[top - t] if cols[index[flip[v]]] >> index[flip[u]] & 1)
+            for u in basis[s]
+        )
+    return GradedMap(gm.shift, {top - t: k for t, k in gm.spaces.items()}, blocks)
+
+
 # --- bit-packed vectors read back as sets --------------------------------------
 
 

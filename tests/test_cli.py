@@ -966,9 +966,17 @@ def test_main_verify_unreadable_cache_is_an_error(tmp_path, capsys, damage):
     assert_clean_error(capsys, code)
 
 
-@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+@pytest.mark.parametrize(
+    "where",
+    [
+        "in a missing directory",
+        "a directory",
+        # opens for appending, but cannot be truncated
+        pytest.param("/dev/null", marks=pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")),
+    ],
+)
 def test_main_verify_unusable_cache_path_is_an_error(tmp_path, monkeypatch, capsys, where):
-    cache = tmp_path / "missing" / "c.jsonl" if where == "in a missing directory" else tmp_path
+    cache = {"in a missing directory": tmp_path / "missing" / "c.jsonl", "a directory": tmp_path}.get(where, where)
     calls = []
     monkeypatch.setattr(cli, "compute_cell", lambda *args, **kwargs: calls.append(args))
     code = main(["verify", "--n", "0", "--d", "1", "--c", "1", "--cache", str(cache)])
@@ -991,7 +999,7 @@ def test_main_table_empty_range_is_an_error(capsys, bounds):
 
 
 class RecordingForkMap:
-    """Stands in for the fork map: records its worker counts (0 in process) and tasks, maps in process.
+    """Stands in for the fork map: records its worker counts (0 in process) and task items, maps in process.
 
     Each task's results go through ``marshal``, as they do from a worker.
     """
@@ -1001,10 +1009,10 @@ class RecordingForkMap:
         self.tasks = []
         monkeypatch.setattr(cli, "_fork_map", self)
 
-    def __call__(self, fn, tasks, jobs, role):
+    def __call__(self, tasks, jobs, role):
         self.jobs.append(jobs)
-        self.tasks.extend(tasks)
-        return contextlib.nullcontext(marshal.loads(marshal.dumps([*map(fn, task)])) for task in tasks)
+        self.tasks.extend(items for _, items in tasks)
+        return contextlib.nullcontext(marshal.loads(marshal.dumps([*map(fn, items)])) for fn, items in tasks)
 
 
 def test_verify_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
@@ -1189,7 +1197,7 @@ def test_a_worker_dead_before_its_next_task_is_a_clean_error_and_leaves_no_child
     monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(os, "write", write_to_a_dead_worker)
     with pytest.raises(cli.WorkerDied, match=r"^sweep worker died with exit status -9 on cell n=2 d=2 m=2$"):
-        with cli._fork_map(str, [[(1, 1, 1)], [(2, 2, 2)]], 1, "sweep") as results:
+        with cli._fork_map([(str, [(1, 1, 1)]), (str, [(2, 2, 2)])], 1, "sweep") as results:
             assert list(next(results)) == ["(1, 1, 1)"]
             next(results)
     assert writes == [b"0\n", b"1\n"]
@@ -1497,9 +1505,9 @@ def test_a_cell_that_raises_before_its_matrix_keeps_its_own_message(tmp_path, mo
 def test_a_sweep_enters_the_fork_map_once_with_the_corner_task_first(tmp_path, monkeypatch, jobs):
     real, calls = cli._fork_map, []
 
-    def recording(fn, tasks, workers, role):
-        calls.append(([list(task) for task in tasks], workers, role))
-        return real(fn, tasks, workers, role)
+    def recording(tasks, workers, role):
+        calls.append(([list(items) for _, items in tasks], workers, role))
+        return real(tasks, workers, role)
 
     monkeypatch.setattr(cli, "_fork_map", recording)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -1519,8 +1527,8 @@ def test_no_record_reaches_the_cache_before_the_corner_task_is_back(tmp_path, mo
     cache.write_text("".join(compute_cell(*cell).to_json() + "\n" for cell in cached))
 
     @contextlib.contextmanager
-    def watching(fn, tasks, workers, role):
-        with real(fn, tasks, workers, role) as results:
+    def watching(tasks, workers, role):
+        with real(tasks, workers, role) as results:
             corner = next(results)
 
             def watched():

@@ -22,6 +22,7 @@ from grqn.schubert import Grid, embedded_places, lenart_qn_matrix, schubert_basi
 from oracles import (
     bitwise_product,
     block,
+    dual,
     ideal_cut,
     ideal_inclusion_induced_zero,
     ideal_subcomplex,
@@ -175,6 +176,41 @@ def test_twisted_complex_matches_ideal_subcomplex():
                 sub, _ = ideal_subcomplex(n, Grid(d, c))
                 assert twisted_complex(n, d, d + c).shifted(c) == sub, (n, d, c)
     assert qn_homology(twisted_complex(1, 2, 7)).total == 2
+
+
+# On Gr_d(R^m) the adjoint of Q_n under the Poincare pairing is Q_n plus the
+# product by the tangent bundle's primitive class, which is m times alpha_n, the
+# tautological bundle's.  So for odd m - 1 the twist of the even-m cell
+# (n, d, m), Q_n + alpha_n on Grid(d - 1, c), is the dual of the Lenart matrix
+# L' of its odd neighbour (n, d - 1, m - 1).
+def test_an_even_m_twist_is_the_dual_of_its_odd_neighbours_lenart_matrix():
+    nonzero = 0
+    for n in range(4):
+        for d in range(7):
+            for c in range(1, 8):
+                if (d + c) % 2:
+                    grid = Grid(d, c)
+                    twist = twisted_complex(n, d + 1, d + c + 1)
+                    assert twist == dual(lenart_qn_matrix(n, grid), grid), (n, d, c)
+                    nonzero += not is_zero(twist)
+    assert nonzero == 49
+    # one flipped bit in L' shows through the oracle
+    grid = Grid(2, 5)
+    lenart = lenart_qn_matrix(1, grid)
+    assert not is_zero(lenart)
+    t = min(lenart.blocks)
+    flipped = lenart._replace(blocks={**lenart.blocks, t: (lenart.blocks[t][0] ^ 1, *lenart.blocks[t][1:])})
+    assert twisted_complex(1, 3, 8) == dual(lenart, grid) != dual(flipped, grid)
+
+
+@pytest.mark.parametrize(
+    "n, d, m", [(3, 3, 18), (3, 4, 18), (3, 5, 18), (3, 6, 18), (4, 3, 34), (4, 4, 34), (5, 3, 66)]
+)
+def test_a_nonzero_high_n_even_m_twist_is_the_dual_of_its_odd_neighbours_lenart_matrix(n, d, m):
+    grid = Grid(d - 1, m - d)
+    twist = twisted_complex(n, d, m)
+    assert not is_zero(twist)
+    assert twist == dual(lenart_qn_matrix(n, grid), grid)
 
 
 def test_cofiber_homology_returns_the_ideal_subcomplex():

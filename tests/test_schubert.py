@@ -382,6 +382,7 @@ HIGH_N_GRIDS = [
     (4, 3, 30),
     (4, 3, 31),
     (5, 2, 63),  # packs monomials at shift 63
+    (6, 2, 127),  # and at shift 127
 ]
 
 
