@@ -21,6 +21,7 @@ import json
 import marshal
 import os
 import select
+import stat
 import sys
 import time
 from collections import namedtuple
@@ -505,8 +506,8 @@ def verify_sweep(
     still running; a worker that dies is such an interruption, and raises
     ``WorkerDied``.  A cell that raises counts as a mismatch, or as a
     lower-bound violation, and is reported on stderr; it gets no record, so
-    the next sweep retries it.  A cache that cannot be opened or read is a
-    ``UsageError``, raised before any cell runs.
+    the next sweep retries it.  A cache that cannot be opened or read, or is
+    not a regular file, is a ``UsageError``, raised before any cell runs.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
@@ -516,6 +517,8 @@ def verify_sweep(
     with ExitStack() as stack:
         try:
             handle = stack.enter_context(open(cache_path, "a+b"))
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # a device or FIFO reads without end
+                raise UsageError(f"cannot use cache {cache_path}: not a regular file")
             cache = load_cache(handle)
             handle.truncate()  # after the last readable record: drops a write cut off
         except OSError as exc:

@@ -6,14 +6,7 @@ so the largest table cells (10^8 and beyond) are exact.
 
 from __future__ import annotations
 
-from math import comb as _raw_comb
-
-
-def _comb(a: int, b: int) -> int:
-    """Binomial coefficient that vanishes outside 0 <= b <= a."""
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return _raw_comb(a, b)
+from math import comb
 
 
 class InvalidCell(ValueError):
@@ -22,7 +15,7 @@ class InvalidCell(ValueError):
 
 def _binomial_sum(top: int, k: int, l: int) -> int:
     """sum_i C(top, k-2i) C(l, i), the shape of every closed form beyond collapse."""
-    return sum(_comb(top, k - 2 * i) * _comb(l, i) for i in range(k // 2 + 1))
+    return sum(comb(top, k - 2 * i) * comb(l, i) for i in range(k // 2 + 1))
 
 
 def check_cell(n: int, d: int, m: int, least_d: int = 0) -> None:
@@ -54,7 +47,7 @@ def predicted_k(n: int, d: int, m: int) -> int:
     with ``m = 2^(n+1) - eps + 2l``, sum_i C(2^(n+1)-eps, d-2i) C(l, i).
     """
     check_cell(n, d, m)
-    return _collapse_or_sum(n, d, m, _comb(m, d), 2 ** (n + 1), d)
+    return _collapse_or_sum(n, d, m, comb(m, d), 2 ** (n + 1), d)
 
 
 def predicted_cofiber_k(n: int, d: int, m: int) -> int:
@@ -64,7 +57,7 @@ def predicted_cofiber_k(n: int, d: int, m: int) -> int:
     sum_i C(2^(n+1)-1-eps, d-1-2i) C(l, i).
     """
     check_cell(n, d, m, least_d=1)
-    return _collapse_or_sum(n, d, m, _comb(m - 1, d - 1), 2 ** (n + 1) - 1, d - 1)
+    return _collapse_or_sum(n, d, m, comb(m - 1, d - 1), 2 ** (n + 1) - 1, d - 1)
 
 
 def predicted_delta_rank(n: int, d: int, m: int) -> int:

@@ -180,11 +180,6 @@ def _context(grid: Grid) -> _GridContext:
     return _GridContext(grid)
 
 
-def schubert_basis(grid: Grid) -> dict[int, list[int]]:
-    """Bead words of the grid's partitions by degree, in the canonical basis order."""
-    return _context(grid).basis
-
-
 def embedded_places(
     corner: Grid, grids: Iterable[tuple[int, int]]
 ) -> dict[tuple[int, int], dict[int, list[int]]]:

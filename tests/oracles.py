@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import Callable, Iterable, Sequence
 
 from grqn import schubert, steenrod
 from grqn.cofiber import check_codimension
-from grqn.formulas import InvalidCell, _binomial_sum, _comb
+from grqn.formulas import InvalidCell, _binomial_sum
 from grqn.homology import GradedMap, HomologyProfile, _echelon, column_product
 from grqn.schubert import Grid, _context
 from grqn.young import bits, partitions_in_grid
@@ -548,13 +549,15 @@ def _eps_l(n: int, m: int) -> tuple[int, int]:
 def _grassmannian_sum(n: int, d: int, m: int) -> int:
     """The paper's total for Gr_d(R^m) past collapse: sum_i C(2^(n+1)-eps, d-2i) C(l, i)."""
     eps, l = _eps_l(n, m)
-    return sum(_comb(2 ** (n + 1) - eps, d - 2 * i) * _comb(l, i) for i in range(l + 1))
+    return sum(comb(2 ** (n + 1) - eps, d - 2 * i) * comb(l, i) for i in range(min(l, d // 2) + 1))
 
 
 def _cofiber_sum(n: int, d: int, m: int) -> int:
     """The paper's reduced cofiber total past collapse: sum_i C(2^(n+1)-1-eps, d-1-2i) C(l, i)."""
     eps, l = _eps_l(n, m)
-    return sum(_comb(2 ** (n + 1) - 1 - eps, d - 1 - 2 * i) * _comb(l, i) for i in range(l + 1))
+    return sum(
+        comb(2 ** (n + 1) - 1 - eps, d - 1 - 2 * i) * comb(l, i) for i in range(min(l, (d - 1) // 2) + 1)
+    )
 
 
 def lemma65_check(n: int, d: int, l: int) -> bool:
@@ -606,7 +609,7 @@ def fixed_point_count(rep: list[tuple[str, int]], d: int) -> int:
         r, mult = sizes[i]
         total = 0
         for j in range(remaining // r + 1):
-            ways = _comb(mult, j)
+            ways = comb(mult, j)
             if ways:
                 total += ways * count(i + 1, remaining - j * r)
         return total

@@ -5,6 +5,7 @@ criterion alongside the pytest verdicts.
 """
 
 import time
+from collections import Counter
 from math import comb
 
 from grqn.cli import compute_cell, main, verify_sweep
@@ -262,3 +263,37 @@ def test_criterion_12_lower_bound_everywhere(tmp_path):
     assert summary["mismatch"] == 0
     assert summary["lower_bound_violations"] == 0
     _finish(12, "computed totals never undercut the lower bound", t0, 300.0)
+
+
+def test_criterion_13_even_m_profile_from_two_odd_m_records():
+    # The ideal of an even-m cell is the dual of its odd neighbour's Lenart
+    # matrix on Grid(d - 1, c): where both odd-m records meet the lower bound,
+    # the even-m profile is theirs, the second reflected and raised by c.
+    t0 = time.perf_counter()
+    records = {}
+
+    def record(n, d, m):
+        if (n, d, m) not in records:
+            records[n, d, m] = compute_cell(n, d, m)
+        return records[n, d, m]
+
+    cells = 0
+    for n in range(4):
+        for d in range(1, 8):
+            for c in range(1, 8):
+                m = d + c
+                if m % 2:
+                    continue
+                first, second = record(n, d, m - 1), record(n, d - 1, m - 1)
+                assert first.computed_total == first.predicted, (n, d, m - 1)
+                assert second.computed_total == second.predicted, (n, d - 1, m - 1)
+                assembled = Counter(dict(first.per_degree))
+                for t, dim in second.per_degree:
+                    assembled[(d - 1) * c - t + c] += dim
+                built = record(n, d, m)
+                assert Counter(dict(built.per_degree)) == assembled, (n, d, m)
+                if d == c:  # the two sources are transposed grids
+                    assert built.computed_total == 2 * first.computed_total, (n, d, m)
+                cells += 1
+    assert cells == 100
+    _finish(13, "even-m profiles from their two odd-m sources", t0, 120.0)

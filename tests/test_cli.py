@@ -41,7 +41,8 @@ from grqn.cli import (
 from grqn.cofiber import cofiber_homology, twisted_complex
 from grqn.formulas import InvalidCell
 from grqn.homology import GradedMap, HomologyProfile, NotADifferential, qn_homology
-from grqn.schubert import Grid, derivation_qn_matrix, lenart_qn_matrix, schubert_basis
+from grqn.schubert import Grid, derivation_qn_matrix, lenart_qn_matrix
+from grqn.young import partitions_in_grid
 from oracles import ideal_cut, word
 
 GOLDEN_2X2 = (
@@ -988,6 +989,29 @@ def test_main_verify_unusable_cache_path_is_an_error(tmp_path, monkeypatch, caps
     assert calls == []
 
 
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+def test_main_verify_device_cache_is_an_error_before_any_read():
+    # /dev/zero reads without end; in a fresh process whose address space is
+    # capped, so that a read of it fails fast rather than filling the machine
+    pytest.importorskip("resource")
+    statement = "\n".join([
+        "import resource, sys",
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]",
+        "cap = 512 << 20 if hard == resource.RLIM_INFINITY else min(512 << 20, hard)",
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))",
+        "from grqn.cli import main",
+        "sys.exit(main(sys.argv[1:]))",
+    ])
+    argv = ["verify", "--n", "0", "--d", "1", "--c", "1..2", "--cache", "/dev/zero"]
+    env = dict(os.environ, PYTHONPATH=str(Path(grqn.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", statement, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "grqn: error: cannot use cache /dev/zero: not a regular file\n"
+
+
 @pytest.mark.parametrize("bounds", [("0", "0"), ("-1", "2"), ("2", "0")], ids=["both", "d", "c"])
 def test_main_table_empty_range_is_an_error(capsys, bounds):
     dmax, cmax = bounds
@@ -1412,7 +1436,7 @@ def test_a_flipped_corner_bit_fails_every_cell_whose_restriction_holds_it(
 ):
     # Q_1(1) = 0: the empty word's column gains the row of (2, 1), which
     # every grid with d, c >= 2 keeps
-    n, row = 1, schubert_basis(CORNER_3X4)[3].index(word((2, 1), 3))
+    n, row = 1, partitions_in_grid(*CORNER_3X4)[3].index(word((2, 1), 3))
     places = schubert.embedded_places(CORNER_3X4, [(d, c) for d in range(1, 4) for c in range(1, 5)])
     holds = {(n, d, d + c) for (d, c), at in places.items() if 0 in at[0] and row in at.get(3, [])}
     assert holds == {(1, d, d + c) for d in (2, 3) for c in (2, 3, 4)}
@@ -1440,6 +1464,45 @@ def test_a_corner_build_that_raises_leaves_each_cell_to_build_its_own(tmp_path, 
         f"grqn: cell n={n} d=3 m=7: planted corner fault" for n in range(3)
     ]
     assert set(record_cells(cache)) == {cell for cell in ALL_3X4 if cell[1:] != (3, 7)}
+
+
+SWEEP_OVER_LIMIT = ["--n", "0..1", "--d", "1..2", "--c", "1..2"]  # corner 2x2 with the limit at 5
+ALL_OVER_LIMIT = {(n, d, d + c) for n in range(2) for d in (1, 2) for c in (1, 2)}
+
+
+def test_a_sweep_whose_corner_is_over_the_limit_builds_each_grid_on_both_routes_its_own(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "BOTH_METHOD_LIMIT", 5)  # the 2x2 grid, C(4, 2) = 6, is Lenart only
+    derivations = record_derivations(monkeypatch)
+    cache = tmp_path / "c.jsonl"
+    assert main(["verify", *SWEEP_OVER_LIMIT, "--cache", str(cache)]) == 0
+    assert sorted(derivations) == [(n, Grid(d, c)) for n in range(2) for d, c in ((1, 1), (1, 2), (2, 1))]
+    methods = {(r["n"], r["d"], r["m"]): r["method"] for r in records_without_timing(cache)}
+    assert methods == {cell: "Lenart" if cell[1:] == (2, 4) else "Both" for cell in ALL_OVER_LIMIT}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_flipped_lenart_bit_under_an_oversize_corner_fails_its_cell_alone(
+    tmp_path, monkeypatch, capsys, jobs
+):
+    monkeypatch.setattr(cli, "BOTH_METHOD_LIMIT", 5)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # so --jobs 2 forks on any host
+    real = cli.lenart_qn_matrix
+
+    def flipped(n, grid):  # Q_0 s_(1) = s_(2) on Gr_1(R^3); the flip drops it
+        gm = real(n, grid)
+        if (n, grid) != (0, Grid(1, 2)):
+            return gm
+        return GradedMap(gm.shift, gm.spaces, {**gm.blocks, 1: (gm.blocks[1][0] ^ 1,)})
+
+    monkeypatch.setattr(cli, "lenart_qn_matrix", flipped)
+    cache = tmp_path / "c.jsonl"
+    assert main(["verify", *SWEEP_OVER_LIMIT, "--jobs", str(jobs), "--cache", str(cache)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["mismatch"] == 1
+    assert captured.err == "grqn: cell n=0 d=1 m=3: matrix constructions disagree at n=0 grid=Grid(d=1, c=2)\n"
+    assert set(record_cells(cache)) == ALL_OVER_LIMIT - {(0, 1, 3)}
 
 
 def test_a_dead_corner_worker_is_a_clean_error_and_leaves_no_child(tmp_path, monkeypatch, capsys):
@@ -1554,7 +1617,7 @@ def test_a_misplaced_word_fails_the_cells_of_its_grid_where_the_matrices_differ(
     tmp_path, monkeypatch, capsys, jobs
 ):
     # degree 3 of the 2x3 grid holds (3) and (2, 1); (3)'s place names (1, 1, 1)
-    grid, wrong = (2, 3), schubert_basis(CORNER_3X4)[3].index(word((1, 1, 1), 3))
+    grid, wrong = (2, 3), partitions_in_grid(*CORNER_3X4)[3].index(word((1, 1, 1), 3))
     places = schubert.embedded_places(CORNER_3X4, [grid])[grid]
     assert wrong not in places[3]
     places[3][0] = wrong

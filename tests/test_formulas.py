@@ -48,6 +48,21 @@ def test_predictions_match_the_papers_sums_on_every_small_cell():
                     assert d == 0 or predicted_cofiber_k(n, d, m) == _cofiber_sum(n, d, m), (n, d, m)
 
 
+def test_an_even_m_prediction_is_its_two_odd_m_neighbours():
+    # Even m: the Pascal step of predicted_k, a cofiber equal to the odd
+    # neighbour one row down, and no connecting map.
+    cells = 0
+    for n in range(6):
+        for m in range(2, 80, 2):
+            for d in range(1, m):
+                cell = (n, d, m)
+                assert predicted_k(*cell) == predicted_k(n, d, m - 1) + predicted_k(n, d - 1, m - 1), cell
+                assert predicted_cofiber_k(*cell) == predicted_k(n, d - 1, m - 1), cell
+                assert predicted_delta_rank(*cell) == 0, cell
+                cells += 1
+    assert cells == 9126
+
+
 def test_predicted_k_rejects_bad_cells():
     with pytest.raises(InvalidCell):
         predicted_k(1, 5, 3)

@@ -271,7 +271,7 @@ def test_only_the_leibniz_steps_read_a_monomial_off_a_word():
     assert found == {"_GridContext.steps"}
 
 
-BEAD_WORD_ACCESSORS = {"schubert_basis", "partitions_in_grid"}
+BEAD_WORD_ACCESSORS = {"partitions_in_grid"}
 
 
 def calls_to(tree, names):
@@ -348,17 +348,17 @@ def test_only_the_sweep_and_the_compute_command_run_a_cell():
     assert ast.unparse(up.test) == "args.command == 'compute'"
 
 
-def unused_definitions(trees, exported):
+def unused_definitions(trees):
     """Functions, methods and classes that no code names outside their own definition.
 
-    Names in ``exported``, dunders and ``main`` count as used.
+    Dunders and ``main`` count as used; an export in ``__init__`` does not.
     """
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if name in exported or name == "main" or name.startswith("__") and name.endswith("__"):
+            if name == "main" or name.startswith("__") and name.endswith("__"):
                 continue
             inside = {id(child) for child in ast.walk(node)}
             if all(id(ref) in inside for t in trees.values() for ref in references(t, name)):
@@ -367,16 +367,12 @@ def unused_definitions(trees, exported):
 
 def test_every_definition_in_the_package_has_a_caller_in_it():
     # Code that only tests call lives in the tests' oracles.
-    sample = {"m": ast.parse("def f():\n    f()\n\ndef g():\n    f()\n\ndef main():\n    pass")}
-    assert list(unused_definitions(sample, set())) == ["m.py:4 g"]  # the scan works
-    trees = {name: parsed(path) for name, path in MODULES.items()}
-    exported = {
-        alias.asname or alias.name
-        for node in trees["__init__"].body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+    sample = {
+        "__init__": ast.parse("from .m import g"),
+        "m": ast.parse("def f():\n    f()\n\ndef g():\n    f()\n\ndef main():\n    pass"),
     }
-    found = list(unused_definitions(trees, exported))
+    assert list(unused_definitions(sample)) == ["m.py:4 g"]  # the scan works; exports count for nothing
+    found = list(unused_definitions({name: parsed(path) for name, path in MODULES.items()}))
     assert not found, found
 
 
