@@ -111,8 +111,8 @@ class GradedMap(namedtuple("GradedMap", "shift spaces blocks")):
         Bits off the kept rows are dropped: when the other vectors span a
         differential ideal, this is the map on the quotient, and when the
         kept ones span a subcomplex, the map on it.  Rows kept as one
-        ascending run are cut by a shift, and a mask if the run ends below
-        the top; other rows are taken through ``column_product``.
+        ascending run are cut by a mask and a shift; other rows are taken
+        through ``column_product``.
         """
         blocks: dict[int, tuple[int, ...]] = {}
         ramp = [*range(max(self.spaces.values(), default=0))]  # runs to compare rows with
@@ -126,11 +126,9 @@ class GradedMap(namedtuple("GradedMap", "shift spaces blocks")):
                 for i, row in enumerate(rows):
                     units[row] = 1 << i
                 blocks[t] = tuple(column_product(units, cols[i]) for i in at)
-            elif high < self.spaces[t + self.shift]:
+            else:
                 mask = (1 << high) - 1
                 blocks[t] = tuple((cols[i] & mask) >> low for i in at)
-            else:
-                blocks[t] = tuple(cols[i] >> low for i in at)
         return GradedMap(self.shift, {t: len(at) for t, at in keep.items()}, blocks)
 
 

@@ -14,7 +14,10 @@ The tuple Stiefel-Whitney ring with its Wu-formula squares and
 commutator-recursion primitives is the reference for the library's
 power-sum closed forms on packed monomials; ``pack`` translates a tuple
 monomial into the library's packed int.  The closed-form identities and the
-cofiber's induced-map check below have no caller in the CLI.
+cofiber's induced-map check below have no caller in the CLI.  Neither
+have ``jump``, multiplication by a power sum read off bead words, nor the
+sum and composite of graded maps that the Lenart matrix's Poincare and
+Leibniz identities are written in.
 
 The per-term Wu route converts every term w^(r - e_j) * v of every image
 on its own and pushes the result through each degree's basis change by a
@@ -31,8 +34,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from grqn import schubert, steenrod
-from grqn.cofiber import check_codimension
-from grqn.formulas import InvalidCell, _binomial_sum
+from grqn.formulas import InvalidCell
 from grqn.homology import GradedMap, HomologyProfile, _echelon, column_product
 from grqn.schubert import Grid, _context
 from grqn.young import bits, partitions_in_grid
@@ -573,7 +575,10 @@ def lemma65_check(n: int, d: int, l: int) -> bool:
     lhs = _grassmannian_sum(n, d, m - 1) + _cofiber_sum(n, d, m) - _grassmannian_sum(n, d, m)
     if lhs % 2:
         return False
-    return lhs // 2 == _binomial_sum(2 ** (n + 1) - 2, d - 1, l - 1)
+    delta = sum(
+        comb(2 ** (n + 1) - 2, d - 1 - 2 * i) * comb(l - 1, i) for i in range(min(l - 1, (d - 1) // 2) + 1)
+    )
+    return lhs // 2 == delta
 
 
 def projective_k(n: int, m: int) -> int:
@@ -627,10 +632,14 @@ def ideal_cut(grid: Grid) -> dict[int, int]:
 
 
 def split_at(gm: GradedMap, cut: dict[int, int]) -> tuple[GradedMap, GradedMap]:
-    """Induced maps on the first ``cut[t]`` basis vectors of each degree t, and on the rest."""
+    """Induced maps on the first ``cut[t]`` basis vectors of each degree t, and on the rest.
+
+    Both are cut bit by bit by ``restrict_selection``, so a check of the
+    cofiber against this split does not lean on ``GradedMap.restrict``.
+    """
     head = {t: list(range(cut[t])) for t in gm.spaces}
     tail = {t: list(range(cut[t], size)) for t, size in gm.spaces.items()}
-    return gm.restrict(head), gm.restrict(tail)
+    return restrict_selection(gm, head), restrict_selection(gm, tail)
 
 
 def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
@@ -641,7 +650,8 @@ def ideal_subcomplex(n: int, grid: Grid) -> tuple[GradedMap, GradedMap]:
     complementary span carries the complex of the one-step-smaller
     Grassmannian.
     """
-    check_codimension(grid)
+    if grid.c < 1:
+        raise InvalidCell(f"cofiber needs codimension >= 1, got {grid}")
     return split_at(schubert.lenart_qn_matrix(n, grid), ideal_cut(grid))
 
 
@@ -724,6 +734,48 @@ def dual(gm: GradedMap, grid: Grid) -> GradedMap:
             for u in basis[s]
         )
     return GradedMap(gm.shift, {top - t: k for t, k in gm.spaces.items()}, blocks)
+
+
+# --- maps given word by word, and the algebra of graded maps --------------------
+
+
+def word_map(grid: Grid, shift: int, image: Callable[[int], Iterable[int]]) -> GradedMap:
+    """The map sending each of the grid's words w to the sum of the distinct words ``image(w)``."""
+    basis = partitions_in_grid(grid.d, grid.c)
+    index = {w: i for words in basis.values() for i, w in enumerate(words)}
+    blocks = {t: tuple(sum(1 << index[v] for v in image(w)) for w in words) for t, words in basis.items()}
+    return GradedMap(shift, {t: len(words) for t, words in basis.items()}, blocks)
+
+
+def jump(grid: Grid, k: int) -> GradedMap:
+    """Multiplication by the power sum p_k mod 2, k >= 1, on the grid's Schubert basis.
+
+    By the Murnaghan-Nakayama rule, whose signs vanish mod 2, p_k s_lam is
+    the sum of the s_mu reached by moving one bead of lam's word up k slots
+    to an empty slot below m.
+    """
+    m = grid.m
+    return word_map(
+        grid, k, lambda w: [w ^ (1 << p | 1 << p + k) for p in bits(w) if p + k < m and not w >> p + k & 1]
+    )
+
+
+def add(a: GradedMap, b: GradedMap) -> GradedMap:
+    """The sum of two maps with one shift on the same spaces."""
+    assert a.shift == b.shift and a.spaces == b.spaces, (a.shift, b.shift)
+    blocks = {t: tuple(x ^ y for x, y in zip(cols, b.blocks[t])) for t, cols in a.blocks.items()}
+    return GradedMap(a.shift, a.spaces, blocks)
+
+
+def compose(after: GradedMap, before: GradedMap) -> GradedMap:
+    """The composite ``after`` of ``before``, on the same spaces, each column one bit at a time."""
+    assert after.spaces == before.spaces
+    blocks = {}
+    for t, cols in before.blocks.items():
+        nxt = after.blocks.get(t + before.shift)
+        if nxt:
+            blocks[t] = tuple(bitwise_product(nxt, col) for col in cols)
+    return GradedMap(before.shift + after.shift, before.spaces, blocks)
 
 
 # --- bit-packed vectors read back as sets --------------------------------------

@@ -22,15 +22,19 @@ from grqn.schubert import (
 )
 from grqn.young import partitions_in_grid
 from oracles import (
+    add,
     block,
+    compose,
     conjugate,
     decode,
+    dual,
     dual_class,
     generator,
     grid_partitions,
     ideal_cut,
     invert,
     is_zero,
+    jump,
     monomial_basis,
     monomial_degree,
     pack,
@@ -39,7 +43,9 @@ from oracles import (
     per_term_twisted_complex,
     schubert_support,
     transpose,
+    vertical_strips,
     word,
+    word_map,
 )
 
 
@@ -646,3 +652,72 @@ def test_lenart_matrix_commutes_with_conjugation_property(n, d, c):
         for w, col in zip(basis_a[t], cols):
             got = decode(image_b[conjugate(w, m)], basis_b[t + a.shift])
             assert got == {conjugate(mu, m) for mu in decode(col, basis_a[t + a.shift])}
+
+
+# --- Poincare duality and the j = 1 Leibniz identity of the Lenart matrix ----
+#
+# The adjoint of Q_n under the Poincare pairing is Q_n plus the product by the
+# tangent bundle's p_k, k = 2^(n+1) - 1, which is m times the tautological
+# bundle's: L = dual(L) + [m odd] J, J the jump by k.  Q_n is a derivation and
+# kills 1, and Q_n(w_1) = p_(k+1), so with P_1 the product by w_1,
+# L P_1 + P_1 L is the jump by k + 1.  Both are checked on every grid up to
+# 7 x 7 with n <= 2 where the jump has a block, and on nonzero cells of higher n.
+
+IDENTITY_GRIDS = [(n, Grid(d, c)) for n in range(3) for d in range(1, 8) for c in range(1, 8)]
+HIGH_N_IDENTITY_CELLS = [(3, 3, 17), (3, 3, 18), (3, 4, 18), (4, 3, 33), (4, 3, 34), (5, 3, 66)]
+
+
+def is_self_dual_up_to_a_jump(grid, lenart):
+    expected = dual(lenart, grid)
+    return lenart == (add(expected, jump(grid, lenart.shift)) if grid.m % 2 else expected)
+
+
+def obeys_leibniz_at_w1(grid, lenart):
+    p1 = word_map(grid, 1, lambda w: vertical_strips(w, 1, grid.m))
+    return add(compose(lenart, p1), compose(p1, lenart)) == jump(grid, lenart.shift + 1)
+
+
+def test_the_lenart_matrix_is_its_own_poincare_dual_up_to_a_jump():
+    grids = [(n, g) for n, g in IDENTITY_GRIDS if 2 ** (n + 1) - 1 <= g.top_degree]
+    assert len(grids) == 130
+    for n, grid in grids:
+        assert is_self_dual_up_to_a_jump(grid, lenart_qn_matrix(n, grid)), (n, grid)
+
+
+def test_the_lenart_matrix_obeys_the_leibniz_identity_at_w1():
+    grids = [(n, g) for n, g in IDENTITY_GRIDS if 2 ** (n + 1) <= g.top_degree]
+    assert len(grids) == 125
+    for n, grid in grids:
+        assert obeys_leibniz_at_w1(grid, lenart_qn_matrix(n, grid)), (n, grid)
+
+
+@pytest.mark.parametrize("n, d, m", HIGH_N_IDENTITY_CELLS)
+def test_a_nonzero_high_n_lenart_matrix_obeys_both_identities(n, d, m):
+    grid = Grid(d, m - d)
+    lenart = lenart_qn_matrix(n, grid)
+    assert not is_zero(lenart)
+    assert is_self_dual_up_to_a_jump(grid, lenart)
+    assert obeys_leibniz_at_w1(grid, lenart)
+
+
+@pytest.mark.parametrize("n, d, c", [(0, 2, 3), (1, 3, 4), (2, 4, 5), (0, 3, 3), (1, 3, 5), (2, 4, 4)])
+def test_a_planted_lenart_bit_breaks_both_identities(n, d, c):
+    # A bit from word u to word v whose dual entry is itself (v the reversal
+    # of u) flips on both sides of the duality, which cannot see it; the
+    # draw skips those entries.  The Leibniz side sees every bit here.
+    grid = Grid(d, c)
+    lenart = lenart_qn_matrix(n, grid)
+    words = partitions_in_grid(d, c)
+    rng = random.Random(f"{n} {d} {c}")
+    planted = 0
+    while planted < 10:
+        t = rng.choice(sorted(lenart.blocks))
+        i, row = rng.randrange(lenart.spaces[t]), rng.randrange(lenart.spaces[t + lenart.shift])
+        if words[t + lenart.shift][row] == conjugate(words[t][i], grid.m) ^ (1 << grid.m) - 1:
+            continue
+        cols = list(lenart.blocks[t])
+        cols[i] ^= 1 << row
+        flipped = lenart._replace(blocks={**lenart.blocks, t: tuple(cols)})
+        assert not is_self_dual_up_to_a_jump(grid, flipped), (t, i, row)
+        assert not obeys_leibniz_at_w1(grid, flipped), (t, i, row)
+        planted += 1
